@@ -19,7 +19,7 @@
 
 #include "core/contention.hpp"
 #include "core/requester_list.hpp"
-#include "core/rts_scheduler.hpp"
+#include "core/scheduler.hpp"
 #include "dsm/object_store.hpp"
 #include "net/network.hpp"
 #include "runtime/cluster.hpp"
@@ -104,7 +104,7 @@ void BM_RtsOnConflict(benchmark::State& state) {
   // until the threshold blocks, then steady-state aborts.
   core::SchedulerConfig cfg;
   cfg.cl_threshold = 4;
-  core::RtsScheduler rts(cfg);
+  auto rts = core::make_scheduler(cfg);
   std::uint64_t i = 0;
   for (auto _ : state) {
     core::ConflictContext ctx;
@@ -116,8 +116,8 @@ void BM_RtsOnConflict(benchmark::State& state) {
     ctx.request.ets.request = sim_ms(5);
     ctx.request.ets.expected_commit = sim_ms(7);
     ctx.validator_remaining = sim_ms(1);
-    benchmark::DoNotOptimize(rts.on_conflict(ctx));
-    if ((i & 0xff) == 0) (void)rts.extract_queue(ctx.oid);
+    benchmark::DoNotOptimize(rts->on_conflict(ctx));
+    if ((i & 0xff) == 0) (void)rts->extract_queue(ctx.oid);
   }
 }
 BENCHMARK(BM_RtsOnConflict);

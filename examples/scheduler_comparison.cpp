@@ -3,8 +3,8 @@
 // Karma/Polka, steal-on-abort — see docs/SCHEDULERS.md) on identical
 // clusters and prints a side-by-side summary — a minimal, self-contained
 // version of the paper's evaluation loop, and a template for plugging a
-// *custom* scheduler into the runtime (see core::Scheduler; the registry in
-// core/scheduler_factory.cpp is the only place to add one).
+// *custom* policy into the runtime (see core::Scheduler; a row of the
+// registry in core/scheduler.cpp is the only place to add one).
 //
 //   ./build/examples/scheduler_comparison [--workload=bank] [--nodes=10]
 //   [--read-ratio=0.1] [--duration-ms=400]

@@ -18,6 +18,15 @@ void RequesterList::add_sorted(std::uint32_t contention, net::QueuedRequester re
   queue_.insert(pos, std::move(requester));
 }
 
+void RequesterList::insert(QueueOrder order, std::uint32_t contention,
+                           net::QueuedRequester requester) {
+  if (order == QueueOrder::kByRank) {
+    add_sorted(contention, std::move(requester));
+  } else {
+    add(contention, std::move(requester));
+  }
+}
+
 bool RequesterList::remove_duplicate(TxnId txid) {
   const auto it = std::find_if(queue_.begin(), queue_.end(),
                                [&](const net::QueuedRequester& r) { return r.txid == txid; });
@@ -43,6 +52,13 @@ std::vector<net::QueuedRequester> RequesterList::pop_head_group() {
   return group;
 }
 
+std::vector<net::QueuedRequester> RequesterList::pop_readers_first() {
+  std::stable_partition(queue_.begin(), queue_.end(), [](const net::QueuedRequester& r) {
+    return r.mode == net::AccessMode::kRead;
+  });
+  return pop_head_group();
+}
+
 std::vector<net::QueuedRequester> RequesterList::drain() {
   std::vector<net::QueuedRequester> all(queue_.begin(), queue_.end());
   queue_.clear();
@@ -57,11 +73,12 @@ void RequesterList::maybe_reset() {
   }
 }
 
-std::vector<net::QueuedRequester> SchedulingTable::pop_head_group(ObjectId oid) {
+std::vector<net::QueuedRequester> SchedulingTable::release(ObjectId oid, ReleaseOrder order) {
   MutexLock lk(mu_);
   auto it = lists_.find(oid);
   if (it == lists_.end()) return {};
-  auto group = it->second.pop_head_group();
+  auto group = order == ReleaseOrder::kReadersFirst ? it->second.pop_readers_first()
+                                                    : it->second.pop_head_group();
   if (it->second.empty()) lists_.erase(it);
   return group;
 }

@@ -25,6 +25,14 @@
 
 namespace hyflow::core {
 
+// Where a parked requester goes: behind everyone (FIFO), or by its
+// policy-defined rank (`QueuedRequester::priority`, lower = served first).
+enum class QueueOrder { kFifo, kByRank };
+
+// Who an available object goes to: the head group (Alg. 4), or Bi-interval's
+// read interval — every queued reader — ahead of the writers.
+enum class ReleaseOrder { kHeadGroup, kReadersFirst };
+
 class RequesterList {
  public:
   // Alg. 1 addRequester(Contention_Level, Requester).
@@ -34,6 +42,9 @@ class RequesterList {
   // before the first queued requester with a strictly greater `priority`
   // (stable among equals, so FIFO ties break by arrival).
   void add_sorted(std::uint32_t contention, net::QueuedRequester requester);
+
+  // add() or add_sorted(), as `order` says.
+  void insert(QueueOrder order, std::uint32_t contention, net::QueuedRequester requester);
 
   // Priority of the youngest/lowest-ranked queued requester (the back of a
   // sorted queue); 0 when empty.
@@ -51,6 +62,11 @@ class RequesterList {
 
   // Head group: the first writer alone, or every leading reader.
   std::vector<net::QueuedRequester> pop_head_group();
+
+  // Bi-interval's read interval: every queued reader wherever it sits, or
+  // the head writer alone when no reader is queued. Writers keep their
+  // order, and `bk` survives while any of them stays parked.
+  std::vector<net::QueuedRequester> pop_readers_first();
 
   std::vector<net::QueuedRequester> drain();
 
@@ -86,11 +102,19 @@ class SchedulingTable {
   }
 
   // As above but does not create the list; returns default for absent.
-  std::vector<net::QueuedRequester> pop_head_group(ObjectId oid);
+  std::vector<net::QueuedRequester> release(ObjectId oid, ReleaseOrder order);
   std::vector<net::QueuedRequester> drain(ObjectId oid);
   bool remove(ObjectId oid, TxnId txid);
   std::size_t depth(ObjectId oid) const;
   std::size_t total_queued() const;
+
+  // Runs `fn()` under the table lock, for policy state kept beside the
+  // lists (Karma's loss streaks).
+  template <typename Fn>
+  auto locked(Fn&& fn) const {
+    MutexLock lk(mu_);
+    return fn();
+  }
 
  private:
   mutable Mutex mu_{LockRank::kSchedulerQueue, "SchedulingTable::mu"};

@@ -98,7 +98,6 @@ RunResult TfaRuntime::run(std::uint32_t profile, const std::function<void(Txn&)>
       const bool read_only = root.set().write_count() == 0;
       commit_root(root);
       metrics_.add_commit(read_only);
-      scheduler_.note_commit(sim_now());
       if (!read_only) stats_.record_commit(profile, sim_now() - attempt_start);
       res.committed = true;
       res.latency = sim_now() - first_start;

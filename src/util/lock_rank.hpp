@@ -35,12 +35,10 @@ enum class LockRank : int {
   kDirectory = 10,      // dsm::DirectoryShard::mu_
   kObjectStore = 20,    // dsm::ObjectStore::mu_
   kSchedulerQueue = 30, // core::SchedulingTable::mu_
-  kSchedulerAux = 35,   // core::KarmaScheduler::karma_mu_ (under the table lock)
   kGrantTable = 40,     // tfa::TfaRuntime::grants_mu_
   kContention = 50,     // core::ContentionTracker::mu_
   kStatsTable = 55,     // tfa::StatsTable::mu_
   kHoldStats = 58,      // tfa::TfaRuntime::hold_mu_
-  kThreshold = 60,      // core::ThresholdController::rollover_mu_
   kOwnerHints = 65,     // dsm::OwnerResolver::mu_
   kReplyCache = 70,     // net::ReplyCache::mu_
   kCallRegistry = 75,   // net::PendingCalls::mu_

@@ -7,7 +7,7 @@
 
 #include <set>
 
-#include "core/rts_scheduler.hpp"
+#include "core/scheduler.hpp"
 #include "runtime/experiment.hpp"
 #include "workloads/bank.hpp"
 #include "workloads/bst.hpp"
@@ -25,6 +25,12 @@ struct ConservationPoint {
   double read_ratio;
   std::uint32_t nodes;
 };
+
+// Without this gtest prints the raw bytes of the point, which include the
+// heap address of `scheduler`, so the listed test names change every run.
+void PrintTo(const ConservationPoint& p, std::ostream* os) {
+  *os << p.scheduler << " rr=" << p.read_ratio << " n=" << p.nodes;
+}
 
 class BankConservation : public ::testing::TestWithParam<ConservationPoint> {};
 
@@ -276,7 +282,7 @@ TEST(RtsProperties, QueueBoundedByThresholdUnderRandomStream) {
   cfg.kind = "rts";
   cfg.cl_threshold = 5;
   cfg.handoff_slack = sim_ms(1);
-  core::RtsScheduler rts(cfg);
+  auto rts = core::make_scheduler(cfg);
 
   Xoshiro256 rng(7);
   std::uint64_t enqueues = 0, aborts = 0;
@@ -296,7 +302,7 @@ TEST(RtsProperties, QueueBoundedByThresholdUnderRandomStream) {
     ctx.validator_remaining = static_cast<SimDuration>(rng.below(sim_ms(3)));
     ctx.now = ctx.request.ets.request;
 
-    const auto d = rts.on_conflict(ctx);
+    const auto d = rts->on_conflict(ctx);
     if (d.action == core::ConflictAction::kEnqueue) {
       ++enqueues;
       EXPECT_GE(d.backoff, ctx.validator_remaining);
@@ -306,9 +312,9 @@ TEST(RtsProperties, QueueBoundedByThresholdUnderRandomStream) {
     }
     // Property: per-object cumulative queue CL never exceeds the threshold,
     // so queues stay shallow by construction.
-    EXPECT_LE(rts.queue_depth(oid), 16u);
-    if (rng.chance(0.05)) (void)rts.on_object_available(oid);  // drain sometimes
-    if (rng.chance(0.02)) (void)rts.extract_queue(oid);
+    EXPECT_LE(rts->queue_depth(oid), 16u);
+    if (rng.chance(0.05)) (void)rts->on_object_available(oid);  // drain sometimes
+    if (rng.chance(0.02)) (void)rts->extract_queue(oid);
   }
   EXPECT_GT(enqueues, 0u);
   EXPECT_GT(aborts, 0u);
@@ -320,7 +326,7 @@ TEST(RtsProperties, WorkConservingHandoff) {
   core::SchedulerConfig cfg;
   cfg.kind = "rts";
   cfg.cl_threshold = 100;
-  core::RtsScheduler rts(cfg);
+  auto rts = core::make_scheduler(cfg);
   Xoshiro256 rng(21);
   for (int trial = 0; trial < 50; ++trial) {
     const int n = 1 + static_cast<int>(rng.below(10));
@@ -334,11 +340,11 @@ TEST(RtsProperties, WorkConservingHandoff) {
       ctx.request.ets.request = 1 + sim_ms(100);
       ctx.request.ets.expected_commit = ctx.request.ets.request + sim_ms(1);
       ctx.request_msg_id = static_cast<std::uint64_t>(trial * 100 + i + 1);
-      ASSERT_EQ(rts.on_conflict(ctx).action, core::ConflictAction::kEnqueue);
+      ASSERT_EQ(rts->on_conflict(ctx).action, core::ConflictAction::kEnqueue);
     }
     std::size_t drained = 0;
-    while (rts.queue_depth(ObjectId{9}) > 0) {
-      const auto group = rts.on_object_available(ObjectId{9});
+    while (rts->queue_depth(ObjectId{9}) > 0) {
+      const auto group = rts->on_object_available(ObjectId{9});
       ASSERT_FALSE(group.empty());
       // Group is homogeneous: one writer, or all readers.
       if (group.size() > 1) {

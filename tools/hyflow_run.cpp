@@ -10,7 +10,7 @@
 // --nodes(10) --workers(3) --read-ratio(0.5) --objects(6) --max-nested(4)
 // --local-work-us(300) --threshold(tuned per workload)
 // --min-delay-us(50) --max-delay-us(2500) --jitter(0.0)
-// --warmup-ms(150) --duration-ms(400) --seed(42) --adaptive(false)
+// --warmup-ms(150) --duration-ms(400) --seed(42)
 //
 // Fault injection (see docs/EXPERIMENTS.md): --fault-drop(0.0)
 // --fault-dup(0.0) --fault-delay(0.0) --fault-delay-spike-us(2000)
@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
   cfg.cluster.scheduler.kind = scheduler;
   cfg.cluster.scheduler.cl_threshold = static_cast<std::uint32_t>(
       cli.get_int("threshold", default_threshold(workload_name)));
-  cfg.cluster.scheduler.adaptive_threshold = cli.get_bool("adaptive", false);
   cfg.cluster.topology.min_delay = sim_us(cli.get_int("min-delay-us", 50));
   cfg.cluster.topology.max_delay = sim_us(cli.get_int("max-delay-us", 2500));
   cfg.cluster.topology.jitter = cli.get_double("jitter", 0.0);
