@@ -6,7 +6,6 @@
 
 #include "bench/bench_result.hpp"
 #include "core/scheduler.hpp"
-#include "util/csv.hpp"
 
 namespace hyflow::bench {
 
@@ -40,7 +39,6 @@ HarnessOptions HarnessOptions::from_config(const Config& cfg) {
   opt.max_nested = static_cast<int>(cfg.get_int("max-nested", opt.max_nested));
   opt.seed = static_cast<std::uint64_t>(cfg.get_int("seed", static_cast<std::int64_t>(opt.seed)));
   opt.verify = cfg.get_bool("verify", opt.verify);
-  opt.csv_path = cfg.get_string("csv", "");
   opt.json_path = cfg.get_string("json", "");
   opt.workloads = split_csv_list(cfg.get_string("workloads", ""));
   opt.schedulers = split_csv_list(cfg.get_string("schedulers", ""));
@@ -154,28 +152,6 @@ runtime::ExperimentResult run_point(const HarnessOptions& opt, const std::string
         .label("read_ratio", read_ratio)
         .label("threshold", static_cast<std::int64_t>(threshold))
         .from_experiment(median);
-  }
-  if (!opt.csv_path.empty()) {
-    CsvWriter csv(opt.csv_path,
-                  {"bench", "workload", "scheduler", "nodes", "read_ratio", "threshold",
-                   "throughput", "commits", "aborts", "nested_abort_rate", "enqueued",
-                   "handoffs", "backoff_expired", "messages", "verified"});
-    csv.row()
-        .cell(opt.bench_name)
-        .cell(workload)
-        .cell(policy)
-        .cell(static_cast<std::uint64_t>(nodes))
-        .cell(read_ratio)
-        .cell(static_cast<std::uint64_t>(threshold))
-        .cell(median.throughput)
-        .cell(median.delta.commits_root)
-        .cell(median.delta.aborts_total())
-        .cell(median.delta.nested_abort_rate())
-        .cell(median.delta.enqueued)
-        .cell(median.delta.handoffs_received)
-        .cell(median.delta.backoff_expired)
-        .cell(median.messages)
-        .cell(std::string(median.verified ? "yes" : "no"));
   }
   return median;
 }

@@ -15,7 +15,6 @@
 //                           scaled 1 ms -> 50 us; see DESIGN.md)
 //   --local-work-us=300     local execution per nested child
 //   --seed=42
-//   --csv=FILE              append one row per measured point (see util/csv)
 //   --json=FILE             machine-readable result file (default
 //                           BENCH_<bench>.json; "none" disables)
 //   --workloads=a,b         restrict multi-workload benches to a subset
@@ -49,8 +48,7 @@ struct HarnessOptions {
   int max_nested = 4;
   std::uint64_t seed = 42;
   bool verify = true;
-  std::string csv_path;    // empty = no CSV output
-  std::string bench_name;  // stamped into CSV rows; set by each binary
+  std::string bench_name;  // names the BENCH JSON; set by each binary
   std::string json_path;   // "" = BENCH_<bench>.json, "none"/"off" disables
   // Workload subset for benches that sweep every registered workload
   // (empty = all). Lets CI smoke runs measure one workload cheaply.

@@ -12,10 +12,8 @@ std::optional<NodeId> OwnerResolver::find_owner(ObjectId oid) {
     auto it = hints_.find(oid);
     if (it != hints_.end()) return it->second;
   }
-  const NodeId home = home_node(oid, comm_.cluster_size());
-  const net::FindOwnerRequest req{oid};
-  auto call = comm_.request(home, req);
-  auto reply = net::reliable_wait(comm_, call, home, req, comm_.retry_policy());
+  auto call = comm_.request(home_node(oid, comm_.cluster_size()), net::FindOwnerRequest{oid});
+  const auto reply = call.await();
   if (!reply) return std::nullopt;  // shutdown, or retry budget exhausted
   const auto& resp = std::get<net::FindOwnerResponse>(reply->payload);
   if (!resp.known) {
@@ -34,11 +32,6 @@ void OwnerResolver::invalidate(ObjectId oid) {
 void OwnerResolver::note_owner(ObjectId oid, NodeId owner) {
   MutexLock lk(mu_);
   hints_[oid] = owner;
-}
-
-std::size_t OwnerResolver::hint_count() const {
-  MutexLock lk(mu_);
-  return hints_.size();
 }
 
 }  // namespace hyflow::dsm

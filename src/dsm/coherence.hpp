@@ -33,12 +33,10 @@ class OwnerResolver {
   // A fetch response told us who the owner is (or we just became it).
   void note_owner(ObjectId oid, NodeId owner);
 
-  std::size_t hint_count() const;
-
  private:
   net::Comm& comm_;
   const ObjectStore& store_;
-  mutable Mutex mu_{LockRank::kOwnerHints, "OwnerResolver::mu"};
+  Mutex mu_{LockRank::kOwnerHints, "OwnerResolver::mu"};
   std::unordered_map<ObjectId, NodeId> hints_ GUARDED_BY(mu_);
 };
 

@@ -1,5 +1,7 @@
 #include "dsm/object_store.hpp"
 
+#include <utility>
+
 #include "util/assert.hpp"
 #include "util/time.hpp"
 
@@ -38,13 +40,12 @@ ObjectStore::LockResult ObjectStore::lock(ObjectId oid, TxnId txid,
   return LockResult::kGranted;
 }
 
-bool ObjectStore::unlock(ObjectId oid, TxnId txid) {
+SimTime ObjectStore::unlock(ObjectId oid, TxnId txid) {
   MutexLock lk(mu_);
   auto it = slots_.find(oid);
-  if (it == slots_.end() || it->second.locked_by != txid) return false;
+  if (it == slots_.end() || it->second.locked_by != txid) return 0;
   it->second.locked_by = kInvalidTxn;
-  it->second.locked_at = 0;
-  return true;
+  return std::exchange(it->second.locked_at, 0);
 }
 
 ObjectStore::ValidateResult ObjectStore::validate(ObjectId oid,
@@ -71,16 +72,15 @@ std::optional<SlotView> ObjectStore::evict(ObjectId oid, TxnId committer) {
   return view;
 }
 
-bool ObjectStore::commit_in_place(ObjectId oid, TxnId txid, ObjectSnapshot object,
-                                  Version version) {
+SimTime ObjectStore::commit_in_place(ObjectId oid, TxnId txid, ObjectSnapshot object,
+                                     Version version) {
   MutexLock lk(mu_);
   auto it = slots_.find(oid);
-  if (it == slots_.end() || it->second.locked_by != txid) return false;
+  if (it == slots_.end() || it->second.locked_by != txid) return 0;
   it->second.object = std::move(object);
   it->second.version = version;
   it->second.locked_by = kInvalidTxn;
-  it->second.locked_at = 0;
-  return true;
+  return std::exchange(it->second.locked_at, 0);
 }
 
 std::size_t ObjectStore::size() const {

@@ -48,9 +48,10 @@ class ObjectStore {
   // read — lock doubles as write-set validation.
   LockResult lock(ObjectId oid, TxnId txid, std::uint64_t expected_clock);
 
-  // Releases a lock without committing. Returns false if `txid` did not
-  // hold it (benign: the lock may have been evicted by a racing commit).
-  bool unlock(ObjectId oid, TxnId txid);
+  // Releases a lock without committing. Returns when the released lock was
+  // taken, or 0 if `txid` did not hold it (benign: the lock may have been
+  // evicted by a racing commit).
+  SimTime unlock(ObjectId oid, TxnId txid);
 
   enum class ValidateResult { kValid, kInvalid, kNotOwner };
 
@@ -63,8 +64,9 @@ class ObjectStore {
   std::optional<SlotView> evict(ObjectId oid, TxnId committer);
 
   // Commit by the current owner itself: bump version/state in place and
-  // release the lock.
-  bool commit_in_place(ObjectId oid, TxnId txid, ObjectSnapshot object, Version version);
+  // release the lock. Returns when that lock was taken, or 0 (and changes
+  // nothing) if `txid` did not hold it.
+  SimTime commit_in_place(ObjectId oid, TxnId txid, ObjectSnapshot object, Version version);
 
   std::size_t size() const;
   std::vector<ObjectId> owned_ids() const;

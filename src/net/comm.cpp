@@ -6,10 +6,10 @@
 
 namespace hyflow::net {
 
-SimDuration RetryPolicy::timeout_for(int attempt, std::uint64_t msg_id) const {
-  SimDuration t = base_timeout;
-  for (int i = 0; i < attempt && t < max_timeout; ++i) t *= 2;
-  t = std::min(t, max_timeout);
+SimDuration retry_timeout(int attempt, std::uint64_t msg_id) {
+  SimDuration t = kRetryBaseTimeout;
+  for (int i = 0; i < attempt && t < kRetryMaxTimeout; ++i) t *= 2;
+  t = std::min(t, kRetryMaxTimeout);
   // +-25% deterministic jitter keyed by (msg_id, attempt).
   const std::uint64_t bits = mix64(msg_id * 31 + static_cast<std::uint64_t>(attempt));
   const double u = static_cast<double>(bits >> 11) * (1.0 / 9007199254740992.0);
@@ -17,16 +17,13 @@ SimDuration RetryPolicy::timeout_for(int attempt, std::uint64_t msg_id) const {
   return std::max<SimDuration>(1, static_cast<SimDuration>(static_cast<double>(t) * factor));
 }
 
-std::optional<Message> reliable_wait(Comm& comm, RequestCall& call, NodeId to,
-                                     const Payload& payload, const RetryPolicy& policy) {
-  for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
-    auto reply = call.poll_for(policy.timeout_for(attempt, call.id()));
-    if (reply) return reply;
-    if (call.closed()) return std::nullopt;  // shutdown, not loss
-    if (attempt == policy.max_retries) break;
-    comm.resend(to, call.id(), static_cast<std::uint32_t>(attempt + 1), payload);
+std::optional<Message> RequestCall::await(int budget) {
+  const int max_resends = kMaxResends * budget;
+  for (int attempt = 0;; ++attempt) {
+    auto reply = poll_for(retry_timeout(attempt, msg_id_));
+    if (reply || closed() || attempt == max_resends) return reply;
+    comm_->resend(to_, msg_id_, static_cast<std::uint32_t>(attempt + 1), payload_);
   }
-  return std::nullopt;
 }
 
 }  // namespace hyflow::net

@@ -3,31 +3,55 @@
 // Network, the node's PendingCalls registry, and its TFA logical clock
 // (stamped on every outgoing envelope for Lamport synchronisation).
 //
-// RequestCall is the RAII handle for an outstanding request: wait() blocks
-// for the next reply, wait_for() abandons on timeout (late replies become
-// orphans, triggering the NotInterested protocol), and the destructor
-// deregisters whatever is left.
+// RequestCall is the RAII handle for an outstanding request: it keeps the
+// request's destination and payload, so await() can re-send it on each
+// timeout until a reply lands; the destructor deregisters the call, after
+// which late replies become orphans.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "net/message.hpp"
 #include "net/rpc.hpp"
 
 namespace hyflow::net {
 
+// Retry schedule for idempotent requests: capped exponential timeouts with
+// deterministic per-attempt jitter. Every resend reuses the original msg_id,
+// so the pending call keeps matching whichever attempt's reply lands first
+// and the receiver can deduplicate by id.
+inline constexpr SimDuration kRetryBaseTimeout = sim_ms(8);
+inline constexpr SimDuration kRetryMaxTimeout = sim_ms(50);
+inline constexpr int kMaxResends = 6;  // per await() budget unit
+
+// Timeout for `attempt` (0-based), jittered +-25% by the request id so
+// simultaneous retry storms de-synchronise deterministically.
+SimDuration retry_timeout(int attempt, std::uint64_t msg_id);
+
+class Comm;
+
 class RequestCall {
  public:
-  RequestCall(PendingCalls* registry, PendingCalls::CallPtr call, std::uint64_t msg_id)
-      : registry_(registry), call_(std::move(call)), msg_id_(msg_id) {}
+  RequestCall(Comm& comm, PendingCalls& registry, PendingCalls::CallPtr call,
+              std::uint64_t msg_id, NodeId to, Payload payload)
+      : comm_(&comm),
+        registry_(&registry),
+        call_(std::move(call)),
+        msg_id_(msg_id),
+        to_(to),
+        payload_(std::move(payload)) {}
 
   RequestCall(const RequestCall&) = delete;
   RequestCall& operator=(const RequestCall&) = delete;
   RequestCall(RequestCall&& other) noexcept
-      : registry_(other.registry_), call_(std::move(other.call_)), msg_id_(other.msg_id_) {
-    other.registry_ = nullptr;
-  }
+      : comm_(other.comm_),
+        registry_(std::exchange(other.registry_, nullptr)),
+        call_(std::move(other.call_)),
+        msg_id_(other.msg_id_),
+        to_(other.to_),
+        payload_(std::move(other.payload_)) {}
 
   ~RequestCall() {
     if (registry_) registry_->done(msg_id_);
@@ -35,51 +59,34 @@ class RequestCall {
 
   std::uint64_t id() const { return msg_id_; }
 
-  std::optional<Message> wait() { return registry_->wait(call_, msg_id_, std::nullopt); }
+  // Waits for the next reply, re-sending the request under its id after
+  // each retry_timeout(), for up to `budget` * kMaxResends resends (phases
+  // that must not give up early pass a larger budget). Returns nullopt once
+  // the budget is spent or the registry was closed — closed() tells which.
+  // Only valid for idempotent requests: the receiver may execute the request
+  // more than once if its reply cache has aged the entry out.
+  std::optional<Message> await(int budget = 1);
 
-  std::optional<Message> wait_for(SimDuration timeout) {
-    return registry_->wait(call_, msg_id_, timeout);
-  }
-
-  // Like wait_for(), but the call stays registered on timeout — used by the
-  // retry layer, which re-sends under the same id and polls again.
+  // Waits up to `timeout` for the next reply without re-sending; the call
+  // stays registered either way.
   std::optional<Message> poll_for(SimDuration timeout) {
-    return registry_->wait(call_, msg_id_, timeout, /*abandon_on_timeout=*/false);
+    return registry_->wait(call_, timeout);
   }
 
   // True once close_all() hit this call — distinguishes "cluster shutting
-  // down" from "reply genuinely lost" when wait_for() returns nothing.
+  // down" from "reply genuinely lost" when a wait returns nothing.
   bool closed() const {
     MutexLock lk(call_->mu);
     return call_->closed;
   }
 
  private:
+  Comm* comm_;
   PendingCalls* registry_;
   PendingCalls::CallPtr call_;
   std::uint64_t msg_id_;
-};
-
-// Retry schedule for idempotent requests: capped exponential timeouts with
-// deterministic per-attempt jitter. Every resend reuses the original msg_id,
-// so the pending call keeps matching whichever attempt's reply lands first
-// and the receiver can deduplicate by id.
-struct RetryPolicy {
-  SimDuration base_timeout = sim_ms(8);
-  SimDuration max_timeout = sim_ms(50);
-  int max_retries = 6;  // resends after the first attempt
-
-  // Timeout for `attempt` (0-based), jittered +-25% by the request id so
-  // simultaneous retry storms de-synchronise deterministically.
-  SimDuration timeout_for(int attempt, std::uint64_t msg_id) const;
-
-  // Budget multiplier for phases that must not give up early (ownership
-  // registration / publication).
-  RetryPolicy scaled(int factor) const {
-    RetryPolicy p = *this;
-    p.max_retries *= factor;
-    return p;
-  }
+  NodeId to_;
+  Payload payload_;
 };
 
 class Comm {
@@ -109,22 +116,6 @@ class Comm {
   // injector keys on it so retries of a dropped message roll new dice.
   virtual void resend(NodeId to, std::uint64_t msg_id, std::uint32_t attempt,
                       Payload payload) = 0;
-
-  // The node's retry schedule for reliable_wait().
-  virtual const RetryPolicy& retry_policy() const = 0;
-
-  // True once the node started shutting down its pending calls — lets
-  // callers distinguish "reply lost" (watchdog abort) from "cluster
-  // stopping" (shutdown abort) when a wait comes back empty.
-  virtual bool closing() const { return false; }
 };
-
-// Waits for the reply to `call`, re-sending `payload` to `to` on each
-// timeout per `policy`. Returns the reply, or nullopt once the retry budget
-// is exhausted (or the registry was closed — check call.closed()). Only
-// valid for idempotent requests: the receiver may execute the request more
-// than once if its reply cache has aged the entry out.
-std::optional<Message> reliable_wait(Comm& comm, RequestCall& call, NodeId to,
-                                     const Payload& payload, const RetryPolicy& policy);
 
 }  // namespace hyflow::net

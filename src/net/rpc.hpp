@@ -8,12 +8,13 @@
 // (Alg. 3) answers immediately ("enqueued, backoff=B"), and the eventual
 // object hand-off (Alg. 4) arrives later — possibly from a different node
 // (the committer that became the new owner). A call therefore holds a queue
-// of replies and stays registered until the caller calls done(), abandons it
-// by timing out, or the cluster shuts down.
+// of replies and stays registered until the caller calls done() or the
+// cluster shuts down; a timed-out wait leaves it registered.
 //
-// A reply that finds no registered call is an *orphan*; for a granted
-// object this triggers the paper's "not interested → forward to the next
-// enqueued transaction" protocol, owned by the node handler.
+// A reply that finds no registered call (one already done()) is an
+// *orphan*; for a granted object this triggers the paper's "not interested
+// → forward to the next enqueued transaction" protocol, owned by the node
+// handler.
 #pragma once
 
 #include <condition_variable>
@@ -36,10 +37,6 @@ class PendingCalls {
     std::condition_variable_any cv;
     std::deque<Message> replies GUARDED_BY(mu);
     bool closed GUARDED_BY(mu) = false;
-    // Set (under mu) when a timeout abandoned the call. deliver() re-checks
-    // it after queueing so a reply racing the abandon is either returned by
-    // wait() or reported as an orphan — never both, never neither.
-    bool abandoned GUARDED_BY(mu) = false;
   };
   using CallPtr = std::shared_ptr<CallState>;
 
@@ -49,35 +46,21 @@ class PendingCalls {
   CallPtr open(std::uint64_t msg_id);
 
   // Routes a reply to its call. Returns false if no call is registered
-  // (abandoned or finished) — the caller owns the orphan protocol.
+  // (finished) — the caller owns the orphan protocol.
   bool deliver(Message reply);
 
   // Blocks until a reply is queued, the timeout expires, or close_all().
-  // With `abandon_on_timeout` (the default), a timeout abandons the call:
-  // it is deregistered and any future reply becomes an orphan; if a reply
-  // slipped in during the abandon race it is returned instead. With it
-  // false the registration survives the timeout — the retry layer re-sends
-  // under the same id and waits again.
-  std::optional<Message> wait(const CallPtr& call, std::uint64_t msg_id,
-                              std::optional<SimDuration> timeout,
-                              bool abandon_on_timeout = true);
+  // The registration survives a timeout: the retry layer re-sends under the
+  // same id and waits again.
+  std::optional<Message> wait(const CallPtr& call, SimDuration timeout);
 
   // Deregisters a call whose final reply has been consumed.
   void done(std::uint64_t msg_id);
 
+  // Wakes every waiter and fails later calls fast (cluster shutdown).
   void close_all();
 
-  // Re-arms the registry after a close_all() once every blocked caller has
-  // been joined (e.g. between measurement phases on a live cluster).
-  void reopen();
-
   std::size_t open_count() const;
-
-  // True between close_all() and reopen().
-  bool closed() const {
-    MutexLock lk(mu_);
-    return closed_;
-  }
 
  private:
   // Registry rank sits below kCallState: deliver()/wait() touch the registry

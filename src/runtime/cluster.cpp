@@ -13,13 +13,9 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   network_ = std::make_unique<net::Network>(net::Topology(topo), cfg.delivery_threads,
                                             cfg.fault);
 
-  NodeConfig node_cfg;
-  node_cfg.scheduler = cfg.scheduler;
-  node_cfg.tfa = cfg.tfa;
-  node_cfg.rpc = cfg.rpc;
   nodes_.reserve(cfg.nodes);
   for (NodeId id = 0; id < cfg.nodes; ++id) {
-    nodes_.push_back(std::make_unique<Node>(id, *network_, node_cfg));
+    nodes_.push_back(std::make_unique<Node>(id, *network_, cfg.scheduler));
     network_->register_handler(id, [node = nodes_.back().get()](net::Message msg) {
       node->handle_message(std::move(msg));
     });
@@ -96,12 +92,6 @@ MetricsSnapshot Cluster::total_metrics() const {
 }
 
 Histogram Cluster::merged_latency() const { return total_metrics().latency; }
-
-std::uint64_t Cluster::total_completed() const {
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w->completed();
-  return total;
-}
 
 void Cluster::shutdown() {
   if (shut_down_) return;

@@ -27,9 +27,7 @@ struct ClusterConfig {
   int delivery_threads = 2;
   net::TopologyConfig topology;  // `nodes` is overridden to match
   core::SchedulerConfig scheduler;
-  tfa::TfaConfig tfa;
-  net::FaultPlan fault;     // fault injection (default off)
-  net::RetryPolicy rpc;     // reliable-RPC retry schedule
+  net::FaultPlan fault;  // fault injection (default off)
   std::uint64_t seed = 1;
 };
 
@@ -56,7 +54,6 @@ class Cluster {
   // ---- workload driving ----
   void start_workers(workloads::Workload& workload);
   void stop_workers();
-  bool workers_running() const { return !workers_.empty(); }
 
   // Runs one transaction synchronously on `node` (examples/tests).
   tfa::RunResult execute(NodeId node, std::uint32_t profile,
@@ -66,7 +63,6 @@ class Cluster {
   // Cluster-wide commit-latency histogram (from per-node metrics); safe to
   // read live, not just after stop_workers().
   Histogram merged_latency() const;
-  std::uint64_t total_completed() const;
 
   // Stops workers, unblocks pending calls, stops the network.
   void shutdown();

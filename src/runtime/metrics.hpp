@@ -6,7 +6,7 @@
 //     by a parent abort / total nested aborts.
 //
 // Counters are relaxed atomics (hot path); the commit-latency histogram is
-// recorded by the TFA runtime under a per-node leaf spinlock (one brief
+// recorded by the TFA runtime under a per-node leaf mutex (one brief
 // acquisition per root commit — negligible next to the commit round-trips)
 // so live snapshots and measurement-window deltas include percentiles.
 // Snapshots are plain structs so benches can diff two snapshots for a

@@ -2,15 +2,13 @@
 
 namespace hyflow::runtime {
 
-Node::Node(NodeId id, net::Network& network, const NodeConfig& cfg)
+Node::Node(NodeId id, net::Network& network, const core::SchedulerConfig& scheduler)
     : id_(id),
       network_(network),
-      rpc_policy_(cfg.rpc),
-      stats_(cfg.tfa.default_expected_duration),
-      contention_(cfg.scheduler.contention_window),
-      scheduler_(core::make_scheduler(cfg.scheduler)),
+      contention_(scheduler.contention_window),
+      scheduler_(core::make_scheduler(scheduler)),
       resolver_(*this, store_) {
-  runtime_ = std::make_unique<tfa::TfaRuntime>(cfg.tfa, *this, store_, directory_, resolver_,
+  runtime_ = std::make_unique<tfa::TfaRuntime>(*this, store_, directory_, resolver_,
                                                *scheduler_, contention_, stats_, clock_,
                                                metrics_);
 }
@@ -27,10 +25,10 @@ net::Message Node::envelope(NodeId to, net::Payload payload) const {
 net::RequestCall Node::request(NodeId to, net::Payload payload) {
   const std::uint64_t id = network_.allocate_msg_id();
   auto call = pending_.open(id);
-  net::Message m = envelope(to, std::move(payload));
+  net::Message m = envelope(to, payload);
   m.msg_id = id;
   network_.send(std::move(m));
-  return net::RequestCall(&pending_, std::move(call), id);
+  return net::RequestCall(*this, pending_, std::move(call), id, to, std::move(payload));
 }
 
 void Node::post(NodeId to, net::Payload payload) {
@@ -84,7 +82,5 @@ void Node::handle_message(net::Message msg) {
 }
 
 void Node::close_pending() { pending_.close_all(); }
-
-void Node::reopen_pending() { pending_.reopen(); }
 
 }  // namespace hyflow::runtime

@@ -26,15 +26,9 @@
 
 namespace hyflow::runtime {
 
-struct NodeConfig {
-  core::SchedulerConfig scheduler;
-  tfa::TfaConfig tfa;
-  net::RetryPolicy rpc;  // retry schedule for reliable requests
-};
-
 class Node final : public net::Comm {
  public:
-  Node(NodeId id, net::Network& network, const NodeConfig& cfg);
+  Node(NodeId id, net::Network& network, const core::SchedulerConfig& scheduler);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -48,17 +42,12 @@ class Node final : public net::Comm {
   void reply_routed(NodeId to, std::uint64_t reply_to, net::Payload payload) override;
   void resend(NodeId to, std::uint64_t msg_id, std::uint32_t attempt,
               net::Payload payload) override;
-  const net::RetryPolicy& retry_policy() const override { return rpc_policy_; }
-  bool closing() const override { return pending_.closed(); }
 
   // Entry point registered with the network.
   void handle_message(net::Message msg);
 
   // Unblocks every worker waiting on an RPC; call before joining workers.
   void close_pending();
-
-  // Re-arms RPCs after close_pending() once the blocked workers are joined.
-  void reopen_pending();
 
   tfa::TfaRuntime& runtime() { return *runtime_; }
   dsm::ObjectStore& store() { return store_; }
@@ -75,7 +64,6 @@ class Node final : public net::Comm {
   NodeId id_;
   net::Network& network_;
   net::PendingCalls pending_;
-  net::RetryPolicy rpc_policy_;
   net::ReplyCache reply_cache_;  // request dedup for at-least-once delivery
   dsm::ObjectStore store_;
   dsm::DirectoryShard directory_;

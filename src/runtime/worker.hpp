@@ -4,7 +4,6 @@
 // produces the same continuous offered load (see DESIGN.md substitutions).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <thread>
 
@@ -31,15 +30,12 @@ class Worker {
   void request_stop();
   void join();
 
-  std::uint64_t completed() const { return completed_.load(std::memory_order_relaxed); }
-
  private:
   void loop(std::stop_token st);
 
   Node& node_;
   workloads::Workload& workload_;
   Xoshiro256 rng_;
-  std::atomic<std::uint64_t> completed_{0};
   std::jthread thread_;
 };
 

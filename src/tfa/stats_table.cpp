@@ -4,33 +4,21 @@
 
 namespace hyflow::tfa {
 
-StatsTable::StatsTable(SimDuration default_duration, SimDuration bucket)
-    : default_duration_(default_duration), bucket_(bucket) {
-  HYFLOW_ASSERT(default_duration > 0 && bucket > 0);
+StatsTable::StatsTable(SimDuration default_duration) : default_duration_(default_duration) {
+  HYFLOW_ASSERT(default_duration > 0);
 }
 
 SimDuration StatsTable::expected_duration(std::uint32_t profile) const {
   MutexLock lk(mu_);
   auto it = entries_.find(profile);
-  if (it == entries_.end() || !it->second.ewma.seeded()) return default_duration_;
-  return static_cast<SimDuration>(it->second.ewma.value());
+  if (it == entries_.end() || !it->second.seeded()) return default_duration_;
+  return static_cast<SimDuration>(it->second.value());
 }
 
 void StatsTable::record_commit(std::uint32_t profile, SimDuration duration) {
   if (duration <= 0) return;
   MutexLock lk(mu_);
-  Entry& e = entries_[profile];
-  e.ewma.add(static_cast<double>(duration));
-  // Age the filter before it saturates into all-positives.
-  if (e.recent.fill_ratio() > 0.5) e.recent.clear();
-  e.recent.insert(static_cast<std::uint64_t>(duration / bucket_));
-}
-
-bool StatsTable::recently_observed(std::uint32_t profile, SimDuration duration) const {
-  MutexLock lk(mu_);
-  auto it = entries_.find(profile);
-  if (it == entries_.end()) return false;
-  return it->second.recent.maybe_contains(static_cast<std::uint64_t>(duration / bucket_));
+  entries_[profile].add(static_cast<double>(duration));
 }
 
 std::size_t StatsTable::profile_count() const {

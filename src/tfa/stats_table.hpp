@@ -9,26 +9,27 @@
 // Entries are keyed by *transaction profile* (an id the workload assigns to
 // each transaction shape, e.g. bank-transfer vs bank-balance). An entry
 // keeps an EWMA of committed execution durations — the source of the
-// expected-commit timestamp in every ETS — plus a Bloom filter of recent
-// commit-duration buckets, aged out when it saturates.
+// expected-commit timestamp in every ETS. The paper's Bloom filter of commit
+// times is left out: nothing derives a backoff from it (DESIGN.md §3).
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 
-#include "util/bloom_filter.hpp"
 #include "util/mutex.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
 
 namespace hyflow::tfa {
 
+// Expected duration of a profile no commit has been observed for yet.
+inline constexpr SimDuration kDefaultExpectedDuration = sim_ms(2);
+
 class StatsTable {
  public:
   // `default_duration` seeds expectations before any commit of a profile
-  // has been observed; clusters pass a few average round-trip times.
-  explicit StatsTable(SimDuration default_duration = sim_ms(2),
-                      SimDuration bucket = sim_us(100));
+  // has been observed.
+  explicit StatsTable(SimDuration default_duration = kDefaultExpectedDuration);
 
   SimDuration expected_duration(std::uint32_t profile) const;
   SimTime expected_commit(std::uint32_t profile, SimTime start) const {
@@ -37,21 +38,12 @@ class StatsTable {
 
   void record_commit(std::uint32_t profile, SimDuration duration);
 
-  // Bloom query: was a commit duration in this bucket observed recently?
-  bool recently_observed(std::uint32_t profile, SimDuration duration) const;
-
   std::size_t profile_count() const;
 
  private:
-  struct Entry {
-    Ewma ewma{0.2};
-    BloomFilter recent{1 << 10, 5};
-  };
-
   SimDuration default_duration_;
-  SimDuration bucket_;
   mutable Mutex mu_{LockRank::kStatsTable, "StatsTable::mu"};
-  std::unordered_map<std::uint32_t, Entry> entries_ GUARDED_BY(mu_);
+  std::unordered_map<std::uint32_t, Ewma> entries_ GUARDED_BY(mu_);
 };
 
 }  // namespace hyflow::tfa

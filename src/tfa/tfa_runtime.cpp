@@ -8,12 +8,34 @@
 
 namespace hyflow::tfa {
 
-TfaRuntime::TfaRuntime(const TfaConfig& cfg, net::Comm& comm, dsm::ObjectStore& store,
+namespace {
+// Wrong-owner re-resolutions one open_object makes before it gives up.
+constexpr int kMaxOwnerRetries = 8;
+// Seed estimate for how long a commit holds its locks (refined online by an
+// EWMA of observed hold durations); feeds the scheduler's
+// validator-remaining input.
+constexpr SimDuration kDefaultValidationHold = sim_ms(4);
+// An Alg. 4 grant the requester has not acknowledged within this window is
+// presumed lost: the owner forgets it and re-serves the queue.
+constexpr SimDuration kGrantAckTimeout = sim_ms(12);
+// Registration and publication must not give up early: a half-registered
+// write set poisons the directory, a lost hand-off strands the old owner's
+// queue. Their requests get this many retry budgets.
+constexpr int kCommitRetryBudget = 3;
+
+// Maps an empty await() result to the right abort cause: the registry being
+// closed means orderly shutdown; otherwise the retry budget ran out with the
+// peer unreachable and the watchdog fires.
+AbortCause empty_wait_cause(const net::RequestCall& call) {
+  return call.closed() ? AbortCause::kShutdown : AbortCause::kWatchdog;
+}
+}  // namespace
+
+TfaRuntime::TfaRuntime(net::Comm& comm, dsm::ObjectStore& store,
                        dsm::DirectoryShard& directory, dsm::OwnerResolver& resolver,
                        core::Scheduler& scheduler, core::ContentionTracker& contention,
                        StatsTable& stats, NodeClock& clock, runtime::NodeMetrics& metrics)
-    : cfg_(cfg),
-      comm_(comm),
+    : comm_(comm),
       store_(store),
       directory_(directory),
       resolver_(resolver),
@@ -41,7 +63,7 @@ void Txn::nested(const std::function<void(Txn&)>& body) {
       // Closed-nested commit: early-validate the child's own reads before
       // its effects merge (Turcu & Ravindran's nested TFA). A stale child
       // aborts here — alone — instead of dooming the parent at root commit.
-      rt_.validate_child(child);
+      rt_.validate_chain(child, /*reads_only=*/false);
       child.merge_into_parent();
       level_.root().nested_committed += 1;
       rt_.metrics().add_nested_commit();
@@ -52,7 +74,7 @@ void Txn::nested(const std::function<void(Txn&)>& body) {
       // this child dies with it (parent-caused nested abort, Table I).
       const bool child_local = e.cause == AbortCause::kEarlyValidation &&
                                e.locus_depth >= child.depth();
-      if (child_local && ++retries <= rt_.config().max_child_retries) {
+      if (child_local && ++retries <= kMaxChildRetries) {
         rt_.metrics().add_nested_abort(/*parent_cause=*/false);
         continue;
       }
@@ -129,14 +151,14 @@ void TfaRuntime::abort_txn(AbortCause cause, int locus, ObjectId oid, SimDuratio
   throw AbortException{cause, locus, oid, stall};
 }
 
-namespace {
-// Maps an empty reliable_wait result to the right abort cause: the registry
-// being closed means orderly shutdown; otherwise the retry budget ran out
-// with the peer unreachable and the watchdog fires.
-AbortCause empty_wait_cause(const net::RequestCall& call) {
-  return call.closed() ? AbortCause::kShutdown : AbortCause::kWatchdog;
+void TfaRuntime::abort_moved(int locus, ObjectId oid) {
+  // The node we read `oid` from no longer owns it. Only a write commit's
+  // CommitRequest moves an object, and that commit's clock is above every
+  // clock the old copy carried (Lamport receive rule + increment_past), so
+  // our copy is stale: no re-resolution can make it valid again.
+  resolver_.invalidate(oid);
+  abort_txn(AbortCause::kEarlyValidation, locus, oid);
 }
-}  // namespace
 
 AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::AccessMode mode) {
   // Already in the transaction tree? Serve it locally — the fetched object
@@ -162,7 +184,7 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
 
   // Alg. 2 Open_Object: resolve the owner and request a copy.
   Transaction& root = leaf.root();
-  for (int attempt = 0; attempt < cfg_.max_owner_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxOwnerRetries; ++attempt) {
     const auto owner = resolver_.find_owner(oid);
     if (!owner) abort_txn(AbortCause::kShutdown, 0, oid);
 
@@ -174,7 +196,7 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
     req.ets = net::Ets{root.wall_start(), sim_now(), root.expected_commit()};
 
     auto call = comm_.request(*owner, req);
-    const auto reply = net::reliable_wait(comm_, call, *owner, req, comm_.retry_policy());
+    const auto reply = call.await();
     if (!reply) abort_txn(empty_wait_cause(call), 0, oid);
     const auto& resp = std::get<net::ObjectResponse>(reply->payload);
 
@@ -262,97 +284,48 @@ void TfaRuntime::forward_if_needed(Transaction& root, std::uint64_t observed_clo
   root.forward_to(observed_clock);
 }
 
-void TfaRuntime::validate_chain(Transaction& root, bool reads_only) {
-  std::vector<ValidateItem> items;
-  for (Transaction* t = &root; t != nullptr; t = t->active_child()) {
+void TfaRuntime::validate_chain(Transaction& from, bool reads_only) {
+  // Early validation of `from` and its active descendants: every entry is
+  // checked once, at the owner it was fetched from, in one concurrent round
+  // — validation is a logical step, not a serial walk, and a serial walk
+  // would stretch every forwarding by read-set-size round-trips. Used for
+  // forwarding, commit-time read validation, and closed-nested child commit
+  // (Turcu & Ravindran, the paper's substrate): a stale child entry aborts
+  // the *child only* (locus = child depth), which then retries alone — the
+  // paper's first cause of nested-transaction aborts.
+  struct RemoteCheck {
+    ObjectId oid;
+    int depth;
+    net::RequestCall call;
+  };
+  std::vector<RemoteCheck> remote;
+  for (Transaction* t = &from; t != nullptr; t = t->active_child()) {
     for (auto& [oid, entry] : t->set()) {
       if (entry.inherited) continue;  // the real entry is validated upstream
       if (reads_only && entry.mode == net::AccessMode::kWrite) continue;
-      items.push_back(
-          ValidateItem{oid, &entry, t->depth(), entry.owner_hint, false, std::nullopt});
-    }
-  }
-  run_validation(items);
-}
-
-void TfaRuntime::validate_child(Transaction& child) {
-  // Closed-nested commit validation (Turcu & Ravindran, the paper's
-  // substrate): before an inner transaction's effects merge into its
-  // parent, its own fetched entries are early-validated. A failure aborts
-  // the *child only* (locus = child depth), which then retries alone —
-  // the paper's first cause of nested-transaction aborts.
-  std::vector<ValidateItem> items;
-  for (auto& [oid, entry] : child.set()) {
-    if (entry.inherited) continue;
-    items.push_back(
-        ValidateItem{oid, &entry, child.depth(), entry.owner_hint, false, std::nullopt});
-  }
-  run_validation(items);
-}
-
-void TfaRuntime::run_validation(std::vector<ValidateItem>& items) {
-  // Early validation of an access-set slice. Remote checks for one round
-  // are issued concurrently — validation is a logical step, not a serial
-  // walk, and a serial walk would stretch every forwarding by
-  // read-set-size round-trips.
-  for (int attempt = 0; attempt < cfg_.max_owner_retries; ++attempt) {
-    bool all_done = true;
-    for (ValidateItem& it : items) {
-      if (it.done) continue;
-      all_done = false;
-      if (it.target == comm_.self()) {
-        switch (store_.validate(it.oid, it.entry->version.clock, kInvalidTxn)) {
-          case dsm::ObjectStore::ValidateResult::kValid:
-            it.done = true;
-            break;
-          case dsm::ObjectStore::ValidateResult::kInvalid:
-            abort_txn(AbortCause::kEarlyValidation, it.depth, it.oid);
-          case dsm::ObjectStore::ValidateResult::kNotOwner:
-            it.target = kInvalidNode;  // re-resolve below
-            break;
-        }
-      } else {
-        net::ValidateRequest req;
-        req.oid = it.oid;
-        req.expected_clock = it.entry->version.clock;
-        it.call.emplace(comm_.request(it.target, req));
+      if (entry.owner_hint != comm_.self()) {
+        remote.push_back(RemoteCheck{
+            oid, t->depth(),
+            comm_.request(entry.owner_hint, net::ValidateRequest{oid, entry.version.clock})});
+        continue;
+      }
+      switch (store_.validate(oid, entry.version.clock, kInvalidTxn)) {
+        case dsm::ObjectStore::ValidateResult::kValid:
+          break;
+        case dsm::ObjectStore::ValidateResult::kInvalid:
+          abort_txn(AbortCause::kEarlyValidation, t->depth(), oid);
+        case dsm::ObjectStore::ValidateResult::kNotOwner:
+          abort_moved(t->depth(), oid);
       }
     }
-    if (all_done) return;
-
-    for (ValidateItem& it : items) {
-      if (it.done || !it.call) continue;
-      net::ValidateRequest req;
-      req.oid = it.oid;
-      req.expected_clock = it.entry->version.clock;
-      const auto reply =
-          net::reliable_wait(comm_, *it.call, it.target, req, comm_.retry_policy());
-      if (!reply) {
-        const AbortCause cause = empty_wait_cause(*it.call);
-        it.call.reset();
-        abort_txn(cause, it.depth, it.oid);
-      }
-      it.call.reset();
-      const auto& resp = std::get<net::ValidateResponse>(reply->payload);
-      if (resp.valid) {
-        it.done = true;
-      } else if (!resp.wrong_owner) {
-        abort_txn(AbortCause::kEarlyValidation, it.depth, it.oid);
-      } else {
-        it.target = kInvalidNode;
-      }
-    }
-    for (ValidateItem& it : items) {
-      if (it.done || it.target != kInvalidNode) continue;
-      resolver_.invalidate(it.oid);
-      metrics_.add_wrong_owner_retry();
-      const auto owner = resolver_.find_owner(it.oid);
-      if (!owner) abort_txn(AbortCause::kShutdown, it.depth, it.oid);
-      it.target = *owner;
-    }
   }
-  for (const ValidateItem& it : items)
-    if (!it.done) abort_txn(AbortCause::kEarlyValidation, it.depth, it.oid);
+  for (RemoteCheck& c : remote) {
+    const auto reply = c.call.await();
+    if (!reply) abort_txn(empty_wait_cause(c.call), c.depth, c.oid);
+    const auto& resp = std::get<net::ValidateResponse>(reply->payload);
+    if (resp.wrong_owner) abort_moved(c.depth, c.oid);
+    if (!resp.valid) abort_txn(AbortCause::kEarlyValidation, c.depth, c.oid);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -395,7 +368,7 @@ void TfaRuntime::commit_root(Transaction& root) {
   try {
     validate_chain(root, /*reads_only=*/true);
   } catch (...) {
-    release_locks(root.id(), writes, writes.size());
+    release_locks(root.id(), writes);
     throw;
   }
 
@@ -405,165 +378,99 @@ void TfaRuntime::commit_root(Transaction& root) {
   // validation window (locks held): this is the long stretch during which
   // conflicting requesters hit the scheduler (§II). Requests go out
   // concurrently; the window is one directory round-trip, not one per object.
-  {
-    std::vector<net::RequestCall> calls;
-    std::vector<net::RegisterOwnerRequest> reqs;
-    calls.reserve(writes.size());
-    reqs.reserve(writes.size());
-    for (auto& w : writes) {
-      net::RegisterOwnerRequest req;
-      req.oid = w.oid;
-      req.new_owner = comm_.self();
-      req.version_clock = commit_clock;
-      reqs.push_back(req);
-      calls.push_back(comm_.request(dsm::home_node(w.oid, comm_.cluster_size()), req));
-    }
-    // Registration must not give up early — a half-registered write set
-    // poisons the directory — so it gets a multiplied retry budget. If it
-    // still fails, every possibly-applied registration is rolled back to
+  const auto home = [this](ObjectId oid) { return dsm::home_node(oid, comm_.cluster_size()); };
+  std::vector<net::RequestCall> calls;
+  calls.reserve(writes.size());
+  for (const auto& w : writes) {
+    calls.push_back(comm_.request(home(w.oid),
+                                  net::RegisterOwnerRequest{w.oid, comm_.self(), commit_clock}));
+  }
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    if (calls[i].await(kCommitRetryBudget)) continue;
+    // Registration failed: roll every possibly-applied registration back to
     // the previous owner at the same clock (register_owner accepts equal
-    // clocks), then the locks are released and the commit aborts.
-    const net::RetryPolicy policy = comm_.retry_policy().scaled(3);
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      const NodeId home = dsm::home_node(writes[i].oid, comm_.cluster_size());
-      if (net::reliable_wait(comm_, calls[i], home, reqs[i], policy)) continue;
-      const AbortCause cause = empty_wait_cause(calls[i]);
-      if (cause == AbortCause::kWatchdog) {
-        HYFLOW_WARN("ownership registration of object ", writes[i].oid.value,
-                    " timed out; rolling back the registered set");
-        for (auto& w : writes) {
-          if (w.owner == comm_.self()) continue;  // owner unchanged
-          net::RegisterOwnerRequest undo;
-          undo.oid = w.oid;
-          undo.new_owner = w.owner;
-          undo.version_clock = commit_clock;
-          auto undo_call =
-              comm_.request(dsm::home_node(w.oid, comm_.cluster_size()), undo);
-          net::reliable_wait(comm_, undo_call, dsm::home_node(w.oid, comm_.cluster_size()),
-                             undo, comm_.retry_policy());
-        }
+    // clocks), then release the locks and abort.
+    const AbortCause cause = empty_wait_cause(calls[i]);
+    if (cause == AbortCause::kWatchdog) {
+      HYFLOW_WARN("ownership registration of object ", writes[i].oid.value,
+                  " timed out; rolling back the registered set");
+      for (const auto& w : writes) {
+        if (w.owner == comm_.self()) continue;  // owner unchanged
+        comm_.request(home(w.oid), net::RegisterOwnerRequest{w.oid, w.owner, commit_clock})
+            .await();
       }
-      release_locks(root.id(), writes, writes.size());
-      abort_txn(cause, 0, writes[i].oid);
     }
+    release_locks(root.id(), writes);
+    abort_txn(cause, 0, writes[i].oid);
   }
 
   publish_write_set(root, writes, commit_clock);
 }
 
 void TfaRuntime::lock_write_set(Transaction& root, std::vector<WriteTarget>& writes) {
-  // Lock requests for one round go out concurrently (lock order is still
-  // deterministic per object via the sort; grants never block, so there is
-  // no deadlock to order around — only livelock, resolved by abort).
+  // One concurrent round: local locks are taken in place, remote ones
+  // requested together (lock order is still deterministic per object via the
+  // sort; grants never block, so there is no deadlock to order around — only
+  // livelock, resolved by abort). Every outstanding reply is collected before
+  // deciding, so a failed round releases exactly what it took.
   const TxnId txid = root.id();
-  std::vector<bool> locked(writes.size(), false);
-  std::vector<std::optional<net::RequestCall>> calls(writes.size());
-
-  const auto release_granted = [&] {
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (!locked[i]) continue;
-      if (writes[i].owner == comm_.self()) {
-        if (auto slot = store_.get(writes[i].oid); slot && slot->locked_by == txid)
-          record_hold(slot->locked_at);
-        store_.unlock(writes[i].oid, txid);
-        serve_waiters(writes[i].oid);
-      } else {
-        release_remote_lock(writes[i].oid, txid, writes[i].owner);
-      }
-    }
-  };
+  std::optional<std::pair<AbortCause, ObjectId>> failure;
   const auto fail = [&](AbortCause cause, ObjectId oid) {
-    // Collect outstanding grants before releasing, so no lock leaks. A call
-    // that stays silent is treated as granted: the pessimistic unlock it
-    // triggers is a no-op if the lock was never taken.
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (!calls[i]) continue;
-      if (auto reply = calls[i]->poll_for(comm_.retry_policy().base_timeout)) {
-        const auto& resp = std::get<net::LockResponse>(reply->payload);
-        if (resp.granted) locked[i] = true;
-      } else if (!calls[i]->closed()) {
-        locked[i] = true;  // unknown outcome: release pessimistically
-      }
-      calls[i].reset();
-    }
-    release_granted();
-    abort_txn(cause, 0, oid);
+    if (!failure) failure.emplace(cause, oid);
   };
-
-  for (int attempt = 0; attempt < cfg_.max_owner_retries; ++attempt) {
-    bool all_locked = true;
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (locked[i]) continue;
-      all_locked = false;
-      WriteTarget& w = writes[i];
-      if (w.owner == comm_.self()) {
-        switch (store_.lock(w.oid, txid, w.entry->version.clock)) {
-          case dsm::ObjectStore::LockResult::kGranted:
-            locked[i] = true;
-            break;
-          case dsm::ObjectStore::LockResult::kBusy:
-            fail(AbortCause::kLockConflict, w.oid);
-            break;
-          case dsm::ObjectStore::LockResult::kVersionMismatch:
-            fail(AbortCause::kEarlyValidation, w.oid);
-            break;
-          case dsm::ObjectStore::LockResult::kNotOwner:
-            w.owner = kInvalidNode;  // re-resolve below
-            break;
-        }
-      } else {
-        net::LockRequest req;
-        req.oid = w.oid;
-        req.txid = txid;
-        req.expected_clock = w.entry->version.clock;
-        calls[i].emplace(comm_.request(w.owner, req));
-      }
+  std::vector<std::optional<net::RequestCall>> calls(writes.size());
+  for (std::size_t i = 0; i < writes.size() && !failure; ++i) {
+    WriteTarget& w = writes[i];
+    if (w.owner != comm_.self()) {
+      calls[i].emplace(
+          comm_.request(w.owner, net::LockRequest{w.oid, txid, w.entry->version.clock}));
+      continue;
     }
-    if (all_locked) return;
-
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (!calls[i]) continue;
-      net::LockRequest req;
-      req.oid = writes[i].oid;
-      req.txid = txid;
-      req.expected_clock = writes[i].entry->version.clock;
-      const auto reply =
-          net::reliable_wait(comm_, *calls[i], writes[i].owner, req, comm_.retry_policy());
-      if (!reply) {
-        const AbortCause cause = empty_wait_cause(*calls[i]);
-        calls[i].reset();
-        fail(cause, writes[i].oid);
-      }
-      calls[i].reset();
-      const auto& resp = std::get<net::LockResponse>(reply->payload);
-      if (resp.granted) {
-        locked[i] = true;
-      } else if (resp.wrong_owner) {
-        writes[i].owner = kInvalidNode;
-      } else {
-        fail(AbortCause::kLockConflict, writes[i].oid);
-      }
-    }
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (locked[i] || writes[i].owner != kInvalidNode) continue;
-      resolver_.invalidate(writes[i].oid);
-      metrics_.add_wrong_owner_retry();
-      const auto owner = resolver_.find_owner(writes[i].oid);
-      if (!owner) fail(AbortCause::kShutdown, writes[i].oid);
-      writes[i].owner = *owner;
+    switch (store_.lock(w.oid, txid, w.entry->version.clock)) {
+      case dsm::ObjectStore::LockResult::kGranted:
+        w.locked = true;
+        break;
+      case dsm::ObjectStore::LockResult::kBusy:
+        fail(AbortCause::kLockConflict, w.oid);
+        break;
+      case dsm::ObjectStore::LockResult::kVersionMismatch:
+        fail(AbortCause::kEarlyValidation, w.oid);
+        break;
+      case dsm::ObjectStore::LockResult::kNotOwner:
+        resolver_.invalidate(w.oid);  // moved away: stale (see abort_moved)
+        fail(AbortCause::kEarlyValidation, w.oid);
+        break;
     }
   }
-  fail(AbortCause::kLockConflict, writes.front().oid);
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    if (!calls[i]) continue;
+    const auto reply = calls[i]->await();
+    if (!reply) {
+      // Unknown outcome: release pessimistically (a no-op if the lock was
+      // never taken) unless the cluster is shutting down.
+      writes[i].locked = !calls[i]->closed();
+      fail(empty_wait_cause(*calls[i]), writes[i].oid);
+      continue;
+    }
+    const auto& resp = std::get<net::LockResponse>(reply->payload);
+    writes[i].locked = resp.granted;
+    if (resp.wrong_owner) {
+      resolver_.invalidate(writes[i].oid);  // moved away: stale (see abort_moved)
+      fail(AbortCause::kEarlyValidation, writes[i].oid);
+    } else if (!resp.granted) {
+      fail(AbortCause::kLockConflict, writes[i].oid);
+    }
+  }
+  if (!failure) return;
+  release_locks(txid, writes);
+  abort_txn(failure->first, 0, failure->second);
 }
 
-void TfaRuntime::release_locks(const TxnId txid, const std::vector<WriteTarget>& writes,
-                               std::size_t count) {
-  for (std::size_t i = 0; i < count && i < writes.size(); ++i) {
-    const WriteTarget& w = writes[i];
+void TfaRuntime::release_locks(TxnId txid, const std::vector<WriteTarget>& writes) {
+  for (const WriteTarget& w : writes) {
+    if (!w.locked) continue;
     if (w.owner == comm_.self()) {
-      if (auto slot = store_.get(w.oid); slot && slot->locked_by == txid)
-        record_hold(slot->locked_at);
-      store_.unlock(w.oid, txid);
+      record_hold(store_.unlock(w.oid, txid));
       serve_waiters(w.oid);
     } else {
       release_remote_lock(w.oid, txid, w.owner);
@@ -574,11 +481,8 @@ void TfaRuntime::release_locks(const TxnId txid, const std::vector<WriteTarget>&
 void TfaRuntime::release_remote_lock(ObjectId oid, TxnId txid, NodeId owner) {
   // Acked, retried release: a lost AbortUnlock would leave the object
   // locked at the owner with nobody left to unlock it.
-  net::AbortUnlock msg;
-  msg.oid = oid;
-  msg.txid = txid;
-  auto call = comm_.request(owner, msg);
-  if (!net::reliable_wait(comm_, call, owner, msg, comm_.retry_policy()) && !call.closed()) {
+  auto call = comm_.request(owner, net::AbortUnlock{oid, txid});
+  if (!call.await() && !call.closed()) {
     HYFLOW_WARN("abort-unlock of object ", oid.value, " at node ", owner,
                 " unacknowledged; lock release outcome unknown");
   }
@@ -597,37 +501,26 @@ void TfaRuntime::publish_write_set(Transaction& root, std::vector<WriteTarget>& 
     WriteTarget& w = writes[i];
     ObjectSnapshot snapshot = std::move(w.entry->working);
     if (w.owner == comm_.self()) {
-      if (auto slot = store_.get(w.oid); slot && slot->locked_by == txid)
-        record_hold(slot->locked_at);
-      const bool ok = store_.commit_in_place(w.oid, txid, snapshot, version);
-      HYFLOW_ASSERT_MSG(ok, "commit_in_place on a lock we hold must succeed");
+      const SimTime locked_at = store_.commit_in_place(w.oid, txid, snapshot, version);
+      HYFLOW_ASSERT_MSG(locked_at > 0, "commit_in_place on a lock we hold must succeed");
+      record_hold(locked_at);
     } else {
       // Install locally first — the directory already points here, so the
       // new copy must be servable before the old owner's slot goes away.
       store_.install(snapshot, version);
       resolver_.note_owner(w.oid, comm_.self());
-      net::CommitRequest req;
-      req.oid = w.oid;
-      req.txid = txid;
-      req.new_version = version;
-      req.new_owner = comm_.self();
-      calls[i].emplace(comm_.request(w.owner, req));
+      calls[i].emplace(
+          comm_.request(w.owner, net::CommitRequest{w.oid, txid, version, comm_.self()}));
     }
   }
   for (std::size_t i = 0; i < writes.size(); ++i) {
     if (calls[i]) {
-      net::CommitRequest req;
-      req.oid = writes[i].oid;
-      req.txid = txid;
-      req.new_version = version;
-      req.new_owner = comm_.self();
       // The hand-off must survive message loss: without it the old owner's
       // copy stays locked and its parked requesters are stranded. The
       // receiver's reply cache preserves the extracted queue, so a retried
       // CommitRequest is answered with the queue captured at the real
       // hand-over, never an empty one.
-      if (auto reply = net::reliable_wait(comm_, *calls[i], writes[i].owner, req,
-                                          comm_.retry_policy().scaled(3))) {
+      if (auto reply = calls[i]->await(kCommitRetryBudget)) {
         auto& resp = std::get<net::CommitResponse>(reply->payload);
         // Inherit the previous owner's scheduling queue (Alg. 4: the node
         // invoking the committed transaction receives the requester lists).
@@ -774,11 +667,9 @@ void TfaRuntime::on_commit(const net::Message& msg) {
 
 void TfaRuntime::on_abort_unlock(const net::Message& msg) {
   const auto& req = std::get<net::AbortUnlock>(msg.payload);
-  if (auto slot = store_.get(req.oid); slot && slot->locked_by == req.txid)
-    record_hold(slot->locked_at);
-  store_.unlock(req.oid, req.txid);
-  // Acknowledge so the releaser's retry loop stops (the reply to a legacy
-  // one-way post is dropped as an uninteresting orphan).
+  record_hold(store_.unlock(req.oid, req.txid));
+  // Acknowledge so the releaser's retry loop stops (the reply to a one-way
+  // post is dropped as an uninteresting orphan).
   comm_.reply(msg, net::Ack{req.oid});
   // "If Tk aborts, the objects that Tk is using will be released, and the
   // other transactions will obtain the objects." (§III-A)
@@ -844,7 +735,7 @@ void TfaRuntime::record_hold(SimTime locked_at) {
 
 SimDuration TfaRuntime::expected_hold() const {
   MutexLock lk(hold_mu_);
-  if (!hold_ewma_.seeded()) return cfg_.default_validation_hold;
+  if (!hold_ewma_.seeded()) return kDefaultValidationHold;
   return static_cast<SimDuration>(hold_ewma_.value());
 }
 
@@ -865,7 +756,7 @@ void TfaRuntime::send_grant(const net::QueuedRequester& to, ObjectId oid,
   {
     MutexLock lk(grants_mu_);
     grants_[{oid.value, to.txid.value}] =
-        PendingGrant{oid, to, sim_now() + cfg_.grant_ack_timeout};
+        PendingGrant{oid, to, sim_now() + kGrantAckTimeout};
   }
   comm_.reply_routed(to.address, to.reply_msg_id, resp);
 }

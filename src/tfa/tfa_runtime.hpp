@@ -90,18 +90,9 @@ class Txn {
   Transaction& level_;
 };
 
-struct TfaConfig {
-  int max_owner_retries = 8;    // wrong-owner re-resolutions per operation
-  int max_child_retries = 16;   // child-local retries before parent abort
-  SimDuration default_expected_duration = sim_ms(2);
-  // Seed estimate for how long a commit holds its locks (refined online by
-  // an EWMA of observed hold durations); feeds the scheduler's
-  // validator-remaining input.
-  SimDuration default_validation_hold = sim_ms(4);
-  // An Alg. 4 grant the requester has not acknowledged within this window
-  // is presumed lost: the owner forgets it and re-serves the queue.
-  SimDuration grant_ack_timeout = sim_ms(12);
-};
+// Child-local retries of a closed-nested transaction before its abort
+// escalates to the parent.
+inline constexpr int kMaxChildRetries = 16;
 
 // Outcome of one root-transaction execution (including internal retries).
 struct RunResult {
@@ -112,10 +103,10 @@ struct RunResult {
 
 class TfaRuntime {
  public:
-  TfaRuntime(const TfaConfig& cfg, net::Comm& comm, dsm::ObjectStore& store,
-             dsm::DirectoryShard& directory, dsm::OwnerResolver& resolver,
-             core::Scheduler& scheduler, core::ContentionTracker& contention,
-             StatsTable& stats, NodeClock& clock, runtime::NodeMetrics& metrics);
+  TfaRuntime(net::Comm& comm, dsm::ObjectStore& store, dsm::DirectoryShard& directory,
+             dsm::OwnerResolver& resolver, core::Scheduler& scheduler,
+             core::ContentionTracker& contention, StatsTable& stats, NodeClock& clock,
+             runtime::NodeMetrics& metrics);
 
   // ---- requester side ----
 
@@ -134,8 +125,9 @@ class TfaRuntime {
   // ---- owner side (invoked by the node's message handler) ----
   void handle_request(const net::Message& msg);
 
-  // A granted object arrived for an abandoned call: tell the sender we are
-  // no longer interested so it forwards the object to the next requester.
+  // A granted object arrived for a finished call (its requester gave up):
+  // tell the sender we are no longer interested so it forwards the object
+  // to the next requester.
   void handle_orphan_reply(const net::Message& msg);
 
   // Grant-loss recovery (Alg. 4 under an unreliable network): expires
@@ -147,39 +139,29 @@ class TfaRuntime {
   StatsTable& stats() { return stats_; }
   runtime::NodeMetrics& metrics() { return metrics_; }
   core::Scheduler& scheduler() { return scheduler_; }
-  const TfaConfig& config() const { return cfg_; }
 
  private:
   friend class Txn;
 
   // Requester-side helpers.
-  struct ValidateItem {
-    ObjectId oid;
-    const AccessEntry* entry;
-    int depth;
-    NodeId target;
-    bool done = false;
-    std::optional<net::RequestCall> call;
-  };
   void forward_if_needed(Transaction& root, std::uint64_t observed_clock);
-  void validate_chain(Transaction& root, bool reads_only);
-  void validate_child(Transaction& child);
-  void run_validation(std::vector<ValidateItem>& items);
+  void validate_chain(Transaction& from, bool reads_only);
   AccessEntry& admit_granted(Transaction& leaf, ObjectId oid, net::AccessMode mode,
                              const net::Message& reply);
   [[noreturn]] void abort_txn(AbortCause cause, int locus, ObjectId oid,
                               SimDuration stall = 0);
+  [[noreturn]] void abort_moved(int locus, ObjectId oid);
 
   // Commit-phase helpers.
   struct WriteTarget {
     ObjectId oid;
     AccessEntry* entry;
     NodeId owner;
+    bool locked = false;
   };
   std::vector<WriteTarget> resolve_write_set(Transaction& root);
   void lock_write_set(Transaction& root, std::vector<WriteTarget>& writes);
-  void release_locks(const TxnId txid, const std::vector<WriteTarget>& writes,
-                     std::size_t count);
+  void release_locks(TxnId txid, const std::vector<WriteTarget>& writes);
   void publish_write_set(Transaction& root, std::vector<WriteTarget>& writes,
                          std::uint64_t commit_clock);
 
@@ -209,7 +191,6 @@ class TfaRuntime {
   SimDuration expected_hold() const;
   SimDuration validator_remaining(const dsm::SlotView& slot, SimTime now) const;
 
-  TfaConfig cfg_;
   net::Comm& comm_;
   dsm::ObjectStore& store_;
   dsm::DirectoryShard& directory_;

@@ -4,7 +4,7 @@
 // with its capability held, but it cannot see *cross-mutex ordering*: thread
 // A taking store->directory while thread B takes directory->store is
 // invisible to it yet deadlocks at runtime. This validator closes that gap:
-// every Mutex/SpinLock is constructed with a LockRank, a thread-local stack
+// every Mutex is constructed with a LockRank, a thread-local stack
 // records the ranks a thread currently holds, and acquiring a lock whose
 // rank is not strictly greater than every held rank aborts immediately,
 // printing both acquisition sites. Deadlock ordering bugs thus fail loudly

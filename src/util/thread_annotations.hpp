@@ -8,7 +8,7 @@
 // `-Wthread-safety -Werror=thread-safety`; see docs/CONCURRENCY.md.
 //
 // Usage convention in this codebase:
-//   * lock owners are `hyflow::Mutex` / `hyflow::SpinLock` (CAPABILITY types)
+//   * lock owners are `hyflow::Mutex` (a CAPABILITY type)
 //   * every field protected by a lock carries GUARDED_BY(mu_)
 //   * private helpers that assume the lock is held carry REQUIRES(mu_)
 #pragma once

@@ -7,7 +7,6 @@
 #include "util/blocking_queue.hpp"
 #include "util/lock_rank.hpp"
 #include "util/mutex.hpp"
-#include "util/spinlock.hpp"
 
 namespace hyflow {
 namespace {
@@ -36,16 +35,6 @@ TEST(LockRankDeathTest, EqualRankNestingAborts) {
     MutexLock hold_b(b);
   };
   EXPECT_DEATH(nest_same_rank(), "lock-rank violation.*inbox-b.*inbox-a");
-}
-
-TEST(LockRankDeathTest, SpinLockParticipates) {
-  auto invert = [] {
-    SpinLock inner(LockRank::kSchedulerQueue, "test-queue");
-    Mutex outer(LockRank::kContention, "test-contention");
-    MutexLock hold(outer);
-    inner.lock();  // rank 30 under rank 50: inversion
-  };
-  EXPECT_DEATH(invert(), "lock-rank violation.*test-queue.*test-contention");
 }
 
 TEST(LockRank, InOrderChainPasses) {

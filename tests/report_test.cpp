@@ -1,115 +1,19 @@
-// Tests for the reporting layer (CSV writer, cluster report) and assorted
+// Tests for the reporting layer (metrics, cluster report) and assorted
 // small surfaces: identifier packing, payload naming/sizing, Lamport
 // envelope propagation, and the logger.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <unistd.h>
 
 #include "net/payloads.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/report.hpp"
-#include "util/csv.hpp"
 #include "util/log.hpp"
 #include "workloads/dht.hpp"
 #include "workloads/registry.hpp"
 
 namespace hyflow {
 namespace {
-
-// ------------------------------------------------------------------ CSV ----
-
-struct TempFile {
-  TempFile() {
-    path = std::filesystem::temp_directory_path() /
-           ("hyflow_csv_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter++));
-  }
-  ~TempFile() { std::filesystem::remove(path); }
-  std::string read() const {
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  }
-  std::filesystem::path path;
-  static inline int counter = 0;
-};
-
-TEST(Csv, WritesHeaderOnceAndAppends) {
-  TempFile tmp;
-  {
-    CsvWriter csv(tmp.path.string(), {"a", "b"});
-    ASSERT_TRUE(csv.enabled());
-    csv.row().cell(std::string("x")).cell(std::int64_t{1});
-  }
-  {
-    CsvWriter csv(tmp.path.string(), {"a", "b"});  // reopened: no second header
-    csv.row().cell(std::string("y")).cell(std::int64_t{2});
-  }
-  EXPECT_EQ(tmp.read(), "a,b\nx,1\ny,2\n");
-}
-
-TEST(Csv, EscapesSpecialCharacters) {
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::escape("two\nlines"), "\"two\nlines\"");
-}
-
-TEST(Csv, DisabledWriterIsNoop) {
-  CsvWriter csv("", {"a"});
-  EXPECT_FALSE(csv.enabled());
-  csv.row().cell(std::string("dropped"));  // must not crash
-}
-
-TEST(Csv, NumericFormatting) {
-  TempFile tmp;
-  {
-    CsvWriter csv(tmp.path.string(), {"d", "i", "u"});
-    csv.row().cell(1.5).cell(std::int64_t{-3}).cell(std::uint64_t{7});
-  }
-  EXPECT_EQ(tmp.read(), "d,i,u\n1.5,-3,7\n");
-}
-
-// Regression: appending rows with a different column set used to silently
-// produce a mixed-schema file; the writer must rotate the stale file aside
-// and start fresh with the new header.
-TEST(Csv, RotatesFileOnHeaderMismatch) {
-  TempFile tmp;
-  const std::string stale = tmp.path.string() + ".stale";
-  {
-    CsvWriter csv(tmp.path.string(), {"a", "b"});
-    csv.row().cell(std::int64_t{1}).cell(std::int64_t{2});
-  }
-  {
-    CsvWriter csv(tmp.path.string(), {"a", "c"});  // schema changed
-    csv.row().cell(std::int64_t{3}).cell(std::int64_t{4});
-  }
-  EXPECT_EQ(tmp.read(), "a,c\n3,4\n");
-  std::ifstream in(stale);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(ss.str(), "a,b\n1,2\n");
-  std::filesystem::remove(stale);
-}
-
-TEST(Csv, MatchingHeaderDoesNotRotate) {
-  TempFile tmp;
-  {
-    CsvWriter csv(tmp.path.string(), {"a", "b"});
-    csv.row().cell(std::int64_t{1}).cell(std::int64_t{2});
-  }
-  {
-    CsvWriter csv(tmp.path.string(), {"a", "b"});
-    csv.row().cell(std::int64_t{3}).cell(std::int64_t{4});
-  }
-  EXPECT_EQ(tmp.read(), "a,b\n1,2\n3,4\n");
-  EXPECT_FALSE(std::filesystem::exists(tmp.path.string() + ".stale"));
-}
 
 // -------------------------------------------------------------- metrics ----
 

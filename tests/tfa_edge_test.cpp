@@ -1,6 +1,6 @@
 // Edge cases of the TFA runtime: access-mode upgrades, ownership chasing,
-// deep nesting, child-retry escalation, stats-table feedback, and the
-// TFA+Backoff stall path.
+// stale copies of moved objects, deep nesting, child-retry escalation,
+// stats-table feedback, and the TFA+Backoff stall path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -100,10 +100,8 @@ TEST(TfaEdge, DeepNestingFourLevels) {
 
 TEST(TfaEdge, ChildRetryEscalatesToParentAfterCap) {
   // A child whose reads are invalidated on every try must not spin forever:
-  // after max_child_retries the abort escalates to the parent.
-  runtime::ClusterConfig cfg = quick(2);
-  cfg.tfa.max_child_retries = 2;
-  runtime::Cluster cluster(cfg);
+  // after kMaxChildRetries the abort escalates to the parent.
+  runtime::Cluster cluster(quick(2));
   cluster.create_object(std::make_unique<Box>(ObjectId{5}, 0), 1);
   cluster.create_object(std::make_unique<Box>(ObjectId{6}, 0), 1);
 
@@ -114,9 +112,9 @@ TEST(TfaEdge, ChildRetryEscalatesToParentAfterCap) {
     tx.nested([&](tfa::Txn& child) {
       const int run = child_runs.fetch_add(1);
       (void)child.read<Box>(ObjectId{5});
-      // Invalidate our own read a few times; stop after the parent has
-      // restarted once so the test terminates.
-      if (parent_attempt == 0 && run < 5) {
+      // Invalidate our own read on every child try of the first parent
+      // attempt (one try more than the cap), so the test terminates.
+      if (parent_attempt == 0 && run <= tfa::kMaxChildRetries) {
         ASSERT_TRUE(cluster.execute(1, 2, [&](tfa::Txn& rival) {
           rival.write<Box>(ObjectId{5}).value += 1;
         }).committed);
@@ -129,6 +127,53 @@ TEST(TfaEdge, ChildRetryEscalatesToParentAfterCap) {
   cluster.execute(1, 3, [&](tfa::Txn& tx) { v = tx.read<Box>(ObjectId{6}).value; });
   EXPECT_EQ(v, 1);  // exactly one child commit survived
   cluster.shutdown();
+}
+
+// A root whose fetched object moved to another node before the commit round
+// holds a stale copy: only a write commit moves an object, and its clock is
+// above every clock the old copy carried. So the node it was read from
+// answering wrong_owner already proves the read stale; the attempt must
+// abort with kEarlyValidation at once, without chasing the object to its new
+// owner (no wrong-owner retry), and the retry must commit.
+void expect_moved_object_aborts_without_chasing(bool write_moved) {
+  runtime::Cluster cluster(quick(3));
+  const ObjectId moved{20};
+  const ObjectId local{21};
+  cluster.create_object(std::make_unique<Box>(moved, 1), 1);
+  cluster.create_object(std::make_unique<Box>(local, 0), 0);
+
+  const auto before = cluster.node(0).metrics().snapshot();
+  int attempt = 0;
+  const auto result = cluster.execute(0, 1, [&](tfa::Txn& tx) {
+    const int seen = write_moved ? tx.write<Box>(moved).value++ : tx.read<Box>(moved).value;
+    tx.write<Box>(local).value = seen;
+    if (attempt++ == 0) {
+      // A rival write from node 2 moves `moved` from node 1 to node 2.
+      ASSERT_TRUE(cluster.execute(2, 2, [&](tfa::Txn& rival) {
+        rival.write<Box>(moved).value += 10;
+      }).committed);
+    }
+  });
+  cluster.network().wait_idle();
+  const auto delta = cluster.node(0).metrics().snapshot() - before;
+
+  ASSERT_TRUE(result.committed);
+  EXPECT_EQ(result.attempts, 2u);
+  EXPECT_EQ(delta.aborts_total(), 1u);
+  constexpr auto kStale = static_cast<std::size_t>(tfa::AbortCause::kEarlyValidation);
+  EXPECT_EQ(delta.aborts_root[kStale], 1u);
+  EXPECT_EQ(delta.wrong_owner_retries, 0u);
+  EXPECT_EQ(object_cast<Box>(*cluster.committed_copy(moved)).value, write_moved ? 12 : 11);
+  EXPECT_EQ(object_cast<Box>(*cluster.committed_copy(local)).value, 11);
+  cluster.shutdown();
+}
+
+TEST(TfaEdge, MovedReadObjectAbortsWithoutChasingOwner) {
+  expect_moved_object_aborts_without_chasing(/*write_moved=*/false);
+}
+
+TEST(TfaEdge, MovedWriteObjectAbortsWithoutChasingOwner) {
+  expect_moved_object_aborts_without_chasing(/*write_moved=*/true);
 }
 
 TEST(TfaEdge, StatsTableLearnsFromCommits) {
@@ -200,8 +245,7 @@ TEST(TfaEdge, ProfileIsolationInStatsTable) {
   auto& stats = cluster.node(0).stats();
   EXPECT_GE(stats.expected_duration(100), sim_ms(2));
   // Unrelated profile keeps the default estimate.
-  EXPECT_EQ(stats.expected_duration(101),
-            cluster.config().tfa.default_expected_duration);
+  EXPECT_EQ(stats.expected_duration(101), tfa::kDefaultExpectedDuration);
   cluster.shutdown();
 }
 

@@ -70,14 +70,6 @@ TEST(StatsTable, EwmaTracksCommits) {
   EXPECT_EQ(table.profile_count(), 1u);
 }
 
-TEST(StatsTable, BloomRemembersCommitBuckets) {
-  StatsTable table(sim_ms(3), sim_us(100));
-  table.record_commit(1, sim_us(450));
-  EXPECT_TRUE(table.recently_observed(1, sim_us(420)));   // same bucket
-  EXPECT_FALSE(table.recently_observed(1, sim_us(950)));  // different bucket
-  EXPECT_FALSE(table.recently_observed(9, sim_us(450)));  // unknown profile
-}
-
 TEST(StatsTable, IgnoresNonPositiveDurations) {
   StatsTable table(sim_ms(3));
   table.record_commit(1, 0);

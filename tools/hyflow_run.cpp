@@ -1,10 +1,9 @@
 // hyflow_run — the repository's general-purpose experiment driver: run any
 // workload on any scheduler with every knob exposed, print the experiment
-// summary plus a per-node cluster report, and optionally append a CSV row
-// for sweep post-processing.
+// summary and optionally a per-node cluster report and latency percentiles.
 //
 //   hyflow_run --workload=bank --scheduler=rts --nodes=20 --read-ratio=0.1
-//              --duration-ms=500 [--csv=results.csv] [--report] [--latency]
+//              --duration-ms=500 [--report] [--latency]
 //
 // Knobs (defaults in parentheses): --workload(bank) --scheduler(rts)
 // --nodes(10) --workers(3) --read-ratio(0.5) --objects(6) --max-nested(4)
@@ -12,7 +11,7 @@
 // --min-delay-us(50) --max-delay-us(2500) --jitter(0.0)
 // --warmup-ms(150) --duration-ms(400) --seed(42)
 //
-// Fault injection (see docs/EXPERIMENTS.md): --fault-drop(0.0)
+// Fault injection (see EXPERIMENTS.md): --fault-drop(0.0)
 // --fault-dup(0.0) --fault-delay(0.0) --fault-delay-spike-us(2000)
 // --fault-seed(1) --fault-partition-start-ms/-end-ms/-cut
 // --fault-crash-node/-start-ms/-end-ms
@@ -23,7 +22,6 @@
 #include "runtime/experiment.hpp"
 #include "runtime/report.hpp"
 #include "util/config.hpp"
-#include "util/csv.hpp"
 #include "workloads/registry.hpp"
 
 using namespace hyflow;
@@ -123,28 +121,6 @@ int main(int argc, char** argv) {
   }
   if (cli.get_bool("report", false)) {
     std::printf("\n%s", runtime::collect_report(cluster).to_string().c_str());
-  }
-
-  CsvWriter csv(cli.get_string("csv", ""),
-                {"workload", "scheduler", "nodes", "workers", "read_ratio", "threshold",
-                 "throughput", "commits", "aborts", "nested_abort_rate", "enqueued",
-                 "handoffs", "messages", "verified"});
-  if (csv.enabled()) {
-    csv.row()
-        .cell(workload_name)
-        .cell(scheduler)
-        .cell(static_cast<std::uint64_t>(cluster.size()))
-        .cell(static_cast<std::int64_t>(cfg.cluster.workers_per_node))
-        .cell(read_ratio)
-        .cell(static_cast<std::uint64_t>(cfg.cluster.scheduler.cl_threshold))
-        .cell(throughput)
-        .cell(delta.commits_root)
-        .cell(delta.aborts_total())
-        .cell(delta.nested_abort_rate())
-        .cell(delta.enqueued)
-        .cell(delta.handoffs_received)
-        .cell(msgs_after - msgs_before)
-        .cell(std::string(verified ? "yes" : "no"));
   }
 
   cluster.shutdown();
