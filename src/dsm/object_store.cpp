@@ -48,9 +48,8 @@ SimTime ObjectStore::unlock(ObjectId oid, TxnId txid) {
   return std::exchange(it->second.locked_at, 0);
 }
 
-ObjectStore::ValidateResult ObjectStore::validate(ObjectId oid,
-                                                  std::uint64_t expected_clock,
-                                                  TxnId reader) const {
+ValidateResult ObjectStore::validate(ObjectId oid, std::uint64_t expected_clock,
+                                     TxnId reader) const {
   MutexLock lk(mu_);
   auto it = slots_.find(oid);
   if (it == slots_.end()) return ValidateResult::kNotOwner;

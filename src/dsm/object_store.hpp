@@ -53,8 +53,6 @@ class ObjectStore {
   // evicted by a racing commit).
   SimTime unlock(ObjectId oid, TxnId txid);
 
-  enum class ValidateResult { kValid, kInvalid, kNotOwner };
-
   // Read-set validation: current version must match and the slot must not
   // be mid-commit under someone else (a locked slot is about to change).
   // `reader` may hold its own commit lock on the slot (read+write upgrade).

@@ -24,4 +24,9 @@ struct Version {
 
 constexpr Version kInitialVersion{0, kInvalidNode};
 
+// Outcome of checking a read version at the node it was fetched from: still
+// current, stale (overwritten, or locked by a commit in progress), or no
+// longer held there (moved away by a write commit, so stale as well).
+enum class ValidateResult : std::uint8_t { kValid, kInvalid, kNotOwner };
+
 }  // namespace hyflow

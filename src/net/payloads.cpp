@@ -23,6 +23,8 @@ struct NameVisitor {
 };
 
 struct SizeVisitor {
+  static std::size_t beyond_first(std::size_t n) { return n > 1 ? n - 1 : 0; }
+
   // Control messages cost a fixed small frame; object-bearing messages add
   // the object's wire size. Only transport statistics consume this.
   std::size_t operator()(const ObjectResponse& r) const {
@@ -30,6 +32,14 @@ struct SizeVisitor {
   }
   std::size_t operator()(const CommitResponse& r) const {
     return 32 + r.queue.size() * 32;
+  }
+  // A one-item validation batch costs a plain frame; each further item adds
+  // its oid and clock to the request and its status byte to the response.
+  std::size_t operator()(const ValidateRequest& r) const {
+    return 32 + beyond_first(r.items.size()) * 16;
+  }
+  std::size_t operator()(const ValidateResponse& r) const {
+    return 32 + beyond_first(r.results.size());
   }
   template <typename T>
   std::size_t operator()(const T&) const {

@@ -10,7 +10,8 @@
 //   NotInterested     — Alg. 4 "send a message to the object owner" when the
 //                       requester's backoff already expired
 //   Lock/Validate/Commit/AbortUnlock — TFA commit: lock write set, validate
-//                       read set, register ownership, release
+//                       read set (one ValidateRequest per owner), register
+//                       ownership, release
 #pragma once
 
 #include <cstdint>
@@ -99,16 +100,19 @@ struct LockResponse {
   bool wrong_owner = false;
 };
 
-struct ValidateRequest {
+struct ValidateItem {
   ObjectId oid;
-  std::uint64_t expected_clock = 0;
+  std::uint64_t expected_clock = 0;  // version the transaction read
+};
+
+// One validation round's reads fetched from one owner, checked together: a
+// round costs one request/response pair per owner, not per object.
+struct ValidateRequest {
+  std::vector<ValidateItem> items;
 };
 
 struct ValidateResponse {
-  ObjectId oid;
-  bool valid = false;
-  bool wrong_owner = false;
-  std::uint64_t current_clock = 0;
+  std::vector<ValidateResult> results;  // one per item, in request order
 };
 
 // A requester parked in an object's scheduling list (Alg. 1 `Requester`,

@@ -28,6 +28,10 @@ struct AccessEntry {
   NodeId owner_hint = kInvalidNode;           // who served the fetch
   std::uint32_t owner_cl = 0;                 // local CL piggy-backed on the fetch
   int fetch_depth = 0;                        // nesting level that fetched it
+  // Latest fetch ordinal of the tree (Transaction::last_fetch) at which this
+  // entry is known current: its own fetch, raised by every successful
+  // validation round sent after a later fetch.
+  std::uint64_t confirmed = 0;
   bool inherited = false;  // views an ancestor's entry; never merged/validated here
 
   // The value this level observes: its own write if any, else the base.

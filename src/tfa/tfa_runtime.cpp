@@ -63,7 +63,7 @@ void Txn::nested(const std::function<void(Txn&)>& body) {
       // Closed-nested commit: early-validate the child's own reads before
       // its effects merge (Turcu & Ravindran's nested TFA). A stale child
       // aborts here — alone — instead of dooming the parent at root commit.
-      rt_.validate_chain(child, /*reads_only=*/false);
+      rt_.validate_chain(child, TfaRuntime::Scope::kAll);
       child.merge_into_parent();
       level_.root().nested_committed += 1;
       rt_.metrics().add_nested_commit();
@@ -259,6 +259,7 @@ AccessEntry& TfaRuntime::admit_granted(Transaction& leaf, ObjectId oid, net::Acc
                                        const net::Message& reply) {
   const auto& resp = std::get<net::ObjectResponse>(reply.payload);
   Transaction& root = leaf.root();
+  const std::uint64_t fetch = root.note_fetch();
   forward_if_needed(root, reply.sender_clock);
 
   AccessEntry e;
@@ -268,6 +269,7 @@ AccessEntry& TfaRuntime::admit_granted(Transaction& leaf, ObjectId oid, net::Acc
   e.owner_hint = reply.from;
   e.owner_cl = resp.owner_cl;
   e.fetch_depth = leaf.depth();
+  e.confirmed = fetch;
   AccessEntry& ref = leaf.set().insert(oid, std::move(e));
   if (mode == net::AccessMode::kWrite) ref.mutable_copy();
   resolver_.note_owner(oid, reply.from);
@@ -280,52 +282,80 @@ void TfaRuntime::forward_if_needed(Transaction& root, std::uint64_t observed_clo
   // so everything read so far must be re-validated before the start clock
   // moves up (early validation; §II).
   metrics_.add_forwarding();
-  validate_chain(root, /*reads_only=*/false);
+  validate_chain(root, Scope::kAll);
   root.forward_to(observed_clock);
 }
 
-void TfaRuntime::validate_chain(Transaction& from, bool reads_only) {
-  // Early validation of `from` and its active descendants: every entry is
-  // checked once, at the owner it was fetched from, in one concurrent round
-  // — validation is a logical step, not a serial walk, and a serial walk
-  // would stretch every forwarding by read-set-size round-trips. Used for
-  // forwarding, commit-time read validation, and closed-nested child commit
-  // (Turcu & Ravindran, the paper's substrate): a stale child entry aborts
-  // the *child only* (locus = child depth), which then retries alone — the
-  // paper's first cause of nested-transaction aborts.
-  struct RemoteCheck {
+void TfaRuntime::validate_chain(Transaction& from, Scope scope) {
+  // Early validation of `from` and its active descendants: every covered
+  // entry is checked once, at the owner it was fetched from, in one
+  // concurrent round — local entries in place, remote ones in one
+  // ValidateRequest per owner. Validation is a logical step, not a serial
+  // walk, which would stretch every forwarding by read-set-size round-trips.
+  // Used for forwarding, commit-time read validation, and closed-nested
+  // child commit (Turcu & Ravindran, the paper's substrate).
+  //
+  // The round fails at its first stale entry in chain order (root -> leaf),
+  // so the abort names the shallowest stale level: a stale child entry
+  // aborts the *child only* (locus = child depth), which then retries alone
+  // — the paper's first cause of nested-transaction aborts — while a stale
+  // ancestor entry takes the chain down from that ancestor.
+  const std::uint64_t sent_after = from.last_fetch();
+  struct Check {
     ObjectId oid;
     int depth;
-    net::RequestCall call;
+    AccessEntry* entry;
+    ValidateResult result = ValidateResult::kValid;
   };
-  std::vector<RemoteCheck> remote;
+  std::vector<Check> checks;  // chain order
   for (Transaction* t = &from; t != nullptr; t = t->active_child()) {
     for (auto& [oid, entry] : t->set()) {
-      if (entry.inherited) continue;  // the real entry is validated upstream
-      if (reads_only && entry.mode == net::AccessMode::kWrite) continue;
-      if (entry.owner_hint != comm_.self()) {
-        remote.push_back(RemoteCheck{
-            oid, t->depth(),
-            comm_.request(entry.owner_hint, net::ValidateRequest{oid, entry.version.clock})});
-        continue;
-      }
-      switch (store_.validate(oid, entry.version.clock, kInvalidTxn)) {
-        case dsm::ObjectStore::ValidateResult::kValid:
-          break;
-        case dsm::ObjectStore::ValidateResult::kInvalid:
-          abort_txn(AbortCause::kEarlyValidation, t->depth(), oid);
-        case dsm::ObjectStore::ValidateResult::kNotOwner:
-          abort_moved(t->depth(), oid);
-      }
+      if (entry.inherited) continue;
+      if (scope == Scope::kReads && entry.mode == net::AccessMode::kWrite) continue;
+      if (scope == Scope::kUnconfirmed && entry.confirmed >= sent_after) continue;
+      checks.push_back(Check{oid, t->depth(), &entry});
     }
   }
-  for (RemoteCheck& c : remote) {
-    const auto reply = c.call.await();
-    if (!reply) abort_txn(empty_wait_cause(c.call), c.depth, c.oid);
-    const auto& resp = std::get<net::ValidateResponse>(reply->payload);
-    if (resp.wrong_owner) abort_moved(c.depth, c.oid);
-    if (!resp.valid) abort_txn(AbortCause::kEarlyValidation, c.depth, c.oid);
+  const auto fail = [this](const Check& c) {
+    if (c.result == ValidateResult::kNotOwner) abort_moved(c.depth, c.oid);
+    abort_txn(AbortCause::kEarlyValidation, c.depth, c.oid);
+  };
+
+  struct Batch {
+    net::ValidateRequest req;
+    std::vector<std::size_t> at;  // index in `checks` of each item
+    std::optional<net::RequestCall> call;
+  };
+  std::map<NodeId, Batch> batches;
+  for (std::size_t i = 0; i < checks.size(); ++i) {
+    Check& c = checks[i];
+    if (c.entry->owner_hint != comm_.self()) {
+      Batch& b = batches[c.entry->owner_hint];
+      b.req.items.push_back(net::ValidateItem{c.oid, c.entry->version.clock});
+      b.at.push_back(i);
+      continue;
+    }
+    c.result = store_.validate(c.oid, c.entry->version.clock, kInvalidTxn);
+    if (c.result == ValidateResult::kValid) continue;
+    // Nothing after a stale entry can decide the round; only a stale remote
+    // entry before it, at a shallower level, still can.
+    if (c.depth == from.depth()) fail(c);
+    checks.resize(i + 1);
+    break;
   }
+  for (auto& [owner, b] : batches) b.call.emplace(comm_.request(owner, std::move(b.req)));
+  for (auto& [owner, b] : batches) {
+    const Check& first = checks[b.at.front()];
+    const auto reply = b.call->await();
+    if (!reply) abort_txn(empty_wait_cause(*b.call), first.depth, first.oid);
+    const auto& results = std::get<net::ValidateResponse>(reply->payload).results;
+    HYFLOW_ASSERT(results.size() == b.at.size());
+    for (std::size_t j = 0; j < results.size(); ++j) checks[b.at[j]].result = results[j];
+  }
+  for (const Check& c : checks)
+    if (c.result != ValidateResult::kValid) fail(c);
+  // Every check ran after fetch `sent_after` was served.
+  for (Check& c : checks) c.entry->confirmed = sent_after;
 }
 
 // ---------------------------------------------------------------------------
@@ -350,23 +380,31 @@ void TfaRuntime::commit_root(Transaction& root) {
   auto writes = resolve_write_set(root);
 
   if (writes.empty()) {
-    // Read-only transaction: commit-time validation only, no locks, no
-    // ownership changes. A single-object read needs no validation at all —
-    // the fetched copy was the committed value at fetch time, so the
-    // transaction serialises there (and cannot be starved by a write-hot
-    // object).
-    std::size_t fetched = 0;
-    for (Transaction* t = &root; t != nullptr; t = t->active_child())
-      for (const auto& [oid, entry] : t->set())
-        if (!entry.inherited) ++fetched;
-    if (fetched > 1) validate_chain(root, /*reads_only=*/false);
+    // Read-only transaction: no locks, no ownership changes, and only the
+    // reads that nothing has confirmed since the tree's last fetch are
+    // validated. The reads then share one moment, the serve time s of the
+    // last fetch, at which each was the committed value:
+    //  * a fetch or a validation succeeds only on an unlocked slot at the
+    //    read version, and versions only grow, so each entry's clean
+    //    interval (from its publication until its overwriter locks it)
+    //    contains both its fetch and its check;
+    //  * fetches are sequential, so each entry was fetched at or before s and
+    //    checked at or after it (by the last fetch itself, or by a round sent
+    //    after it): s lies in every interval;
+    //  * a writer locks all its objects before it publishes any, so no torn
+    //    write falls on s.
+    // The transaction serialises at s. A tree that fetched a single object
+    // validates nothing (and a write-hot object cannot starve it). Write
+    // commits get no such exemption: their reads must be current while the
+    // locks are held.
+    validate_chain(root, Scope::kUnconfirmed);
     return;
   }
 
   lock_write_set(root, writes);
 
   try {
-    validate_chain(root, /*reads_only=*/true);
+    validate_chain(root, Scope::kReads);
   } catch (...) {
     release_locks(root.id(), writes);
     throw;
@@ -644,11 +682,10 @@ void TfaRuntime::on_lock(const net::Message& msg) {
 
 void TfaRuntime::on_validate(const net::Message& msg) {
   const auto& req = std::get<net::ValidateRequest>(msg.payload);
-  const auto result = store_.validate(req.oid, req.expected_clock, kInvalidTxn);
   net::ValidateResponse resp;
-  resp.oid = req.oid;
-  resp.valid = result == dsm::ObjectStore::ValidateResult::kValid;
-  resp.wrong_owner = result == dsm::ObjectStore::ValidateResult::kNotOwner;
+  resp.results.reserve(req.items.size());
+  for (const net::ValidateItem& item : req.items)
+    resp.results.push_back(store_.validate(item.oid, item.expected_clock, kInvalidTxn));
   comm_.reply(msg, resp);
 }
 

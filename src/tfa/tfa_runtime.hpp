@@ -145,7 +145,14 @@ class TfaRuntime {
 
   // Requester-side helpers.
   void forward_if_needed(Transaction& root, std::uint64_t observed_clock);
-  void validate_chain(Transaction& from, bool reads_only);
+  // Which entries of the chain a validation round checks (never inherited
+  // views: the real entry is checked at the level that holds it).
+  enum class Scope {
+    kAll,          // forwarding and closed-nested child commit
+    kReads,        // write commit: the locks already check the written objects
+    kUnconfirmed,  // read-only commit: entries not confirmed since the last fetch
+  };
+  void validate_chain(Transaction& from, Scope scope);
   AccessEntry& admit_granted(Transaction& leaf, ObjectId oid, net::AccessMode mode,
                              const net::Message& reply);
   [[noreturn]] void abort_txn(AbortCause cause, int locus, ObjectId oid,

@@ -90,6 +90,10 @@ class Transaction {
   void forward_to(std::uint64_t clock) { root().start_clock_ = clock; }
   SimTime wall_start() const { return root().wall_start_; }
   SimTime expected_commit() const { return root().expected_commit_; }
+  // Tree-wide fetch ordinal: how many objects the tree has been granted so
+  // far, at any level (AccessEntry::confirmed counts in these units).
+  std::uint64_t last_fetch() const { return root().fetches_; }
+  std::uint64_t note_fetch() { return ++root().fetches_; }
 
   // Children committed in the current attempt (rolled back — and counted —
   // if the root aborts).
@@ -113,6 +117,7 @@ class Transaction {
   std::uint64_t start_clock_ = 0;
   SimTime wall_start_ = 0;
   SimTime expected_commit_ = 0;
+  std::uint64_t fetches_ = 0;
 };
 
 }  // namespace hyflow::tfa

@@ -104,19 +104,14 @@ TEST(ObjectStore, UnlockOnlyByHolder) {
 TEST(ObjectStore, ValidateSemantics) {
   dsm::ObjectStore store;
   store.install(snap(ObjectId{1}, 0), Version{4, 0});
-  EXPECT_EQ(store.validate(ObjectId{1}, 4, kInvalidTxn),
-            dsm::ObjectStore::ValidateResult::kValid);
-  EXPECT_EQ(store.validate(ObjectId{1}, 3, kInvalidTxn),
-            dsm::ObjectStore::ValidateResult::kInvalid);
-  EXPECT_EQ(store.validate(ObjectId{2}, 0, kInvalidTxn),
-            dsm::ObjectStore::ValidateResult::kNotOwner);
+  EXPECT_EQ(store.validate(ObjectId{1}, 4, kInvalidTxn), ValidateResult::kValid);
+  EXPECT_EQ(store.validate(ObjectId{1}, 3, kInvalidTxn), ValidateResult::kInvalid);
+  EXPECT_EQ(store.validate(ObjectId{2}, 0, kInvalidTxn), ValidateResult::kNotOwner);
   // A slot locked by someone else is about to change: invalid.
   store.lock(ObjectId{1}, TxnId{10}, 4);
-  EXPECT_EQ(store.validate(ObjectId{1}, 4, kInvalidTxn),
-            dsm::ObjectStore::ValidateResult::kInvalid);
+  EXPECT_EQ(store.validate(ObjectId{1}, 4, kInvalidTxn), ValidateResult::kInvalid);
   // ... but valid for the lock holder itself.
-  EXPECT_EQ(store.validate(ObjectId{1}, 4, TxnId{10}),
-            dsm::ObjectStore::ValidateResult::kValid);
+  EXPECT_EQ(store.validate(ObjectId{1}, 4, TxnId{10}), ValidateResult::kValid);
 }
 
 TEST(ObjectStore, CommitInPlaceBumpsVersionAndUnlocks) {

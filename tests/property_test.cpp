@@ -259,7 +259,9 @@ void run_tree_membership_oracle(std::uint64_t seed) {
         EXPECT_EQ(found, oracle.count(key) > 0) << "key " << key << " op " << i;
         break;
     }
-    if (i % 25 == 0) ASSERT_TRUE(tree.verify(cluster)) << "after op " << i;
+    if (i % 25 == 0) {
+      ASSERT_TRUE(tree.verify(cluster)) << "after op " << i;
+    }
   }
   EXPECT_TRUE(tree.verify(cluster));
   cluster.shutdown();

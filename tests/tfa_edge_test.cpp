@@ -1,6 +1,7 @@
 // Edge cases of the TFA runtime: access-mode upgrades, ownership chasing,
 // stale copies of moved objects, deep nesting, child-retry escalation,
-// stats-table feedback, and the TFA+Backoff stall path.
+// per-owner validation batches and the read-only commit rule, stats-table
+// feedback, and the TFA+Backoff stall path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -174,6 +175,177 @@ TEST(TfaEdge, MovedReadObjectAbortsWithoutChasingOwner) {
 
 TEST(TfaEdge, MovedWriteObjectAbortsWithoutChasingOwner) {
   expect_moved_object_aborts_without_chasing(/*write_moved=*/true);
+}
+
+constexpr auto kStaleRead = static_cast<std::size_t>(tfa::AbortCause::kEarlyValidation);
+
+std::uint64_t messages_sent(runtime::Cluster& cluster) {
+  return cluster.network().stats().messages.load();
+}
+
+TEST(TfaEdge, ValidationRoundCostsOneMessagePairPerOwner) {
+  // Five remote reads at three owners, plus one local read checked in place:
+  // the child's commit-time round sends one ValidateRequest per owner.
+  runtime::Cluster cluster(quick(4));
+  const NodeId owners[] = {1, 1, 2, 2, 3, 0};
+  for (std::uint64_t i = 0; i < 6; ++i)
+    cluster.create_object(std::make_unique<Box>(ObjectId{30 + i}, 1), owners[i]);
+  std::uint64_t at_child_end = 0;
+  std::uint64_t after_child_commit = 0;
+  ASSERT_TRUE(cluster.execute(0, 1, [&](tfa::Txn& tx) {
+    tx.nested([&](tfa::Txn& child) {
+      for (std::uint64_t i = 0; i < 6; ++i) (void)child.read<Box>(ObjectId{30 + i});
+      at_child_end = messages_sent(cluster);
+    });
+    after_child_commit = messages_sent(cluster);
+  }).committed);
+  EXPECT_EQ(after_child_commit - at_child_end, 2u * 3u);
+  cluster.shutdown();
+}
+
+// Root reads `root_read`, its child reads `child_read`, and then — on the
+// first try only — a rival on the owner, node 1, overwrites `overwritten`
+// before the child fetches a third object from node 1. That fetch sees node
+// 1's advanced clock and forwards: the root's and the child's reads go to
+// node 1 in one batch, and the first stale entry in chain order decides who
+// aborts.
+struct ForwardingProbe {
+  tfa::RunResult result;
+  runtime::MetricsSnapshot delta;
+  int child_runs = 0;
+};
+
+ForwardingProbe forward_with_one_stale_read(bool stale_in_root) {
+  runtime::Cluster cluster(quick(3));
+  const ObjectId root_read{40};
+  const ObjectId child_read{41};
+  const ObjectId trigger{42};
+  for (const ObjectId oid : {root_read, child_read, trigger})
+    cluster.create_object(std::make_unique<Box>(oid, 1), 1);
+  const ObjectId overwritten = stale_in_root ? root_read : child_read;
+
+  ForwardingProbe probe;
+  const auto before = cluster.node(0).metrics().snapshot();
+  probe.result = cluster.execute(0, 1, [&](tfa::Txn& tx) {
+    (void)tx.read<Box>(root_read);
+    tx.nested([&](tfa::Txn& child) {
+      (void)child.read<Box>(child_read);
+      if (probe.child_runs++ == 0) {
+        EXPECT_TRUE(cluster.execute(1, 2, [&](tfa::Txn& rival) {
+          rival.write<Box>(overwritten).value += 1;
+        }).committed);
+      }
+      (void)child.read<Box>(trigger);
+    });
+  });
+  cluster.network().wait_idle();
+  probe.delta = cluster.node(0).metrics().snapshot() - before;
+  cluster.shutdown();
+  return probe;
+}
+
+TEST(TfaEdge, StaleChildEntryInABatchRetriesOnlyTheChild) {
+  const auto probe = forward_with_one_stale_read(/*stale_in_root=*/false);
+  ASSERT_TRUE(probe.result.committed);
+  EXPECT_GE(probe.delta.forwardings, 1u);
+  EXPECT_EQ(probe.result.attempts, 1u);
+  EXPECT_EQ(probe.delta.aborts_total(), 0u);
+  EXPECT_EQ(probe.child_runs, 2);
+  EXPECT_EQ(probe.delta.nested_aborts_own_cause, 1u);
+  EXPECT_EQ(probe.delta.nested_aborts_parent_cause, 0u);
+}
+
+TEST(TfaEdge, StaleRootEntryInABatchAbortsTheRoot) {
+  const auto probe = forward_with_one_stale_read(/*stale_in_root=*/true);
+  ASSERT_TRUE(probe.result.committed);
+  EXPECT_GE(probe.delta.forwardings, 1u);
+  EXPECT_EQ(probe.result.attempts, 2u);
+  EXPECT_EQ(probe.delta.aborts_total(), 1u);
+  EXPECT_EQ(probe.delta.aborts_root[kStaleRead], 1u);
+  EXPECT_EQ(probe.delta.nested_aborts_own_cause, 0u);
+}
+
+TEST(TfaEdge, ReadOnlyRootSkipsReadsItsLastChildConfirmed) {
+  // The child's commit validated both reads after the tree's last fetch, so
+  // the read-only root commit has nothing left to check.
+  runtime::Cluster cluster(quick(3));
+  cluster.create_object(std::make_unique<Box>(ObjectId{50}, 1), 1);
+  cluster.create_object(std::make_unique<Box>(ObjectId{51}, 2), 2);
+  std::uint64_t at_body_end = 0;
+  int sum = 0;
+  const auto result = cluster.execute(0, 1, [&](tfa::Txn& tx) {
+    tx.nested([&](tfa::Txn& child) {
+      sum = child.read<Box>(ObjectId{50}).value + child.read<Box>(ObjectId{51}).value;
+    });
+    at_body_end = messages_sent(cluster);
+  });
+  ASSERT_TRUE(result.committed);
+  EXPECT_EQ(result.attempts, 1u);
+  EXPECT_EQ(sum, 3);
+  EXPECT_EQ(messages_sent(cluster), at_body_end);
+  cluster.shutdown();
+}
+
+TEST(TfaEdge, ReadOnlyRootRevalidatesReadsConfirmedBeforeTheLastFetch) {
+  // Child 1's read was confirmed before child 2 fetched, so it is not exempt:
+  // overwritten after child 2's fetch, it must abort the root commit.
+  runtime::Cluster cluster(quick(3));
+  const ObjectId first{52};
+  const ObjectId second{53};
+  cluster.create_object(std::make_unique<Box>(first, 1), 1);
+  cluster.create_object(std::make_unique<Box>(second, 2), 2);
+  const auto before = cluster.node(0).metrics().snapshot();
+  int attempt = 0;
+  int seen = 0;
+  const auto result = cluster.execute(0, 1, [&](tfa::Txn& tx) {
+    tx.nested([&](tfa::Txn& child) { seen = child.read<Box>(first).value; });
+    tx.nested([&](tfa::Txn& child) {
+      (void)child.read<Box>(second);
+      if (attempt == 0) {
+        EXPECT_TRUE(cluster.execute(1, 2, [&](tfa::Txn& rival) {
+          rival.write<Box>(first).value = 10;
+        }).committed);
+      }
+    });
+    ++attempt;
+  });
+  const auto delta = cluster.node(0).metrics().snapshot() - before;
+  ASSERT_TRUE(result.committed);
+  EXPECT_EQ(result.attempts, 2u);
+  EXPECT_EQ(delta.aborts_total(), 1u);
+  EXPECT_EQ(delta.aborts_root[kStaleRead], 1u);
+  EXPECT_EQ(seen, 10);
+  cluster.shutdown();
+}
+
+TEST(TfaEdge, WriteRootValidatesEveryReadAtCommit) {
+  // The child's read is confirmed after the tree's last fetch, which would
+  // exempt it from a read-only commit; a write commit must still check it.
+  runtime::Cluster cluster(quick(3));
+  const ObjectId written{54};
+  const ObjectId read{55};
+  cluster.create_object(std::make_unique<Box>(written, 0), 0);
+  cluster.create_object(std::make_unique<Box>(read, 1), 1);
+  const auto before = cluster.node(0).metrics().snapshot();
+  int attempt = 0;
+  const auto result = cluster.execute(0, 1, [&](tfa::Txn& tx) {
+    auto& out = tx.write<Box>(written);
+    int seen = 0;
+    tx.nested([&](tfa::Txn& child) { seen = child.read<Box>(read).value; });
+    if (attempt++ == 0) {
+      EXPECT_TRUE(cluster.execute(1, 2, [&](tfa::Txn& rival) {
+        rival.write<Box>(read).value = 10;
+      }).committed);
+    }
+    out.value = seen + 1;
+  });
+  const auto delta = cluster.node(0).metrics().snapshot() - before;
+  ASSERT_TRUE(result.committed);
+  EXPECT_EQ(result.attempts, 2u);
+  EXPECT_EQ(delta.aborts_total(), 1u);
+  EXPECT_EQ(delta.aborts_root[kStaleRead], 1u);
+  EXPECT_EQ(object_cast<Box>(*cluster.committed_copy(written)).value, 11);
+  cluster.shutdown();
 }
 
 TEST(TfaEdge, StatsTableLearnsFromCommits) {
