@@ -1,6 +1,5 @@
 #include "dsm/coherence.hpp"
 
-#include "dsm/directory.hpp"
 #include "util/log.hpp"
 
 namespace hyflow::dsm {
@@ -12,16 +11,23 @@ std::optional<NodeId> OwnerResolver::find_owner(ObjectId oid) {
     auto it = hints_.find(oid);
     if (it != hints_.end()) return it->second;
   }
-  auto call = comm_.request(home_node(oid, comm_.cluster_size()), net::FindOwnerRequest{oid});
-  const auto reply = call.await();
-  if (!reply) return std::nullopt;  // shutdown, or retry budget exhausted
-  const auto& resp = std::get<net::FindOwnerResponse>(reply->payload);
-  if (!resp.known) {
+  const NodeId home = home_node(oid, comm_.cluster_size());
+  std::optional<NodeId> owner;
+  if (home == comm_.self()) {
+    owner = shard_.lookup(oid);
+  } else {
+    auto call = comm_.request(home, net::FindOwnerRequest{oid});
+    const auto reply = call.await();
+    if (!reply) return std::nullopt;  // shutdown, or retry budget exhausted
+    const auto& resp = std::get<net::FindOwnerResponse>(reply->payload);
+    if (resp.known) owner = resp.owner;
+  }
+  if (!owner) {
     HYFLOW_WARN("find_owner: object ", oid.value, " unknown to directory");
     return std::nullopt;
   }
-  note_owner(oid, resp.owner);
-  return resp.owner;
+  note_owner(oid, *owner);
+  return owner;
 }
 
 void OwnerResolver::invalidate(ObjectId oid) {

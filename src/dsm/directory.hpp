@@ -5,7 +5,8 @@
 // transaction commits: TFA's validation phase performs the "global
 // registration of object ownership" (§II) by sending RegisterOwnerRequest
 // to the home node — the round-trip is a deliberate part of the validation
-// window during which conflicting requesters hit the scheduler.
+// window during which conflicting requesters hit the scheduler. A committer
+// that is itself the home node registers in place.
 //
 // Registrations carry the committing version clock and are applied
 // monotonically, so a late-arriving registration from an older commit can

@@ -7,7 +7,7 @@ Node::Node(NodeId id, net::Network& network, const core::SchedulerConfig& schedu
       network_(network),
       contention_(scheduler.contention_window),
       scheduler_(core::make_scheduler(scheduler)),
-      resolver_(*this, store_) {
+      resolver_(*this, store_, directory_) {
   runtime_ = std::make_unique<tfa::TfaRuntime>(*this, store_, directory_, resolver_,
                                                *scheduler_, contention_, stats_, clock_,
                                                metrics_);

@@ -199,9 +199,10 @@ TEST(Stress, LocallyOwnedTransactionIsCheap) {
   }).committed);
   cluster.network().wait_idle();
   const auto sent = cluster.network().stats().messages.load() - before;
-  // Self-fetch still rides the proxy (2 messages) and registration goes to
-  // the home node (2); locks and publication are local.
-  EXPECT_LE(sent, 6u);
+  // Fetch, lock, validation and publication are served in place by the
+  // owning node. Registration is too when node 1 also holds the object's
+  // directory shard; otherwise it is one round-trip to the home node.
+  EXPECT_EQ(sent, dsm::home_node(oid, cfg.nodes) == 1 ? 0u : 2u);
   cluster.shutdown();
 }
 
